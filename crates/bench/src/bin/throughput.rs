@@ -15,13 +15,12 @@
 //!              [--serve] [--serve-sessions 4]
 //!
 //! Every run also measures the per-kernel-family microbench: each
-//! vectorized kernel family runs on a single-stage pipeline in three
-//! modes — loose-row `process_row`, columnar transport with the row
-//! trampoline forced, and the vectorized kernels — and the element/s
-//! land under a `kernels` key. In `--relative` mode the geometric mean
-//! of the vectorized/trampoline speedups from the same run is gated
-//! against `KERNEL_SPEEDUP_FLOOR`, so the kernels cannot silently
-//! degenerate into the per-row loop.
+//! vectorized kernel family runs on a single-stage pipeline in two
+//! modes — loose-row `process_row` and the vectorized kernels over
+//! columnar batches — and the element/s land under a `kernels` key. In
+//! `--relative` mode the geometric mean of the vectorized/row speedups
+//! from the same run is gated against `KERNEL_SPEEDUP_FLOOR`, so the
+//! kernels cannot silently degenerate into a per-row loop.
 //!
 //! With `--serve`, the harness additionally measures end-to-end network
 //! throughput: it starts an in-process `icewafl-serve` server and
@@ -174,21 +173,17 @@ fn measure_repr(
 /// amortized the same way in both columnar modes.
 const KERNEL_CHUNK: usize = 4096;
 
-/// Per-kernel-family throughput in the three execution modes the
-/// columnar layer supports. All three run the *same* single-stage
-/// [`ColumnPipeline`](icewafl_core::ColumnPipeline) object, so the
-/// numbers isolate the kernel itself:
+/// Per-kernel-family throughput in two execution modes. Both run the
+/// *same* single-stage [`ColumnPipeline`](icewafl_core::ColumnPipeline)
+/// object, so the numbers isolate the kernel itself:
 ///
 /// * `row` — `process_row` over loose tuples: the tuple-at-a-time path
 ///   every non-columnar sub-stream executes.
-/// * `trampoline` — `process_rows` with `set_vectorized(false)`:
-///   columnar transport, but each stage walks the batch row by row.
-/// * `vectorized` — `process_rows` with kernels on: bulk RNG draws,
-///   branch-free masked selects.
+/// * `vectorized` — `process_batch` over pre-pivoted batches: bulk RNG
+///   draws, branch-free masked selects.
 struct KernelMeasurement {
     family: String,
     row_elems_per_sec: f64,
-    trampoline_elems_per_sec: f64,
     vectorized_elems_per_sec: f64,
 }
 
@@ -197,7 +192,7 @@ impl KernelMeasurement {
     /// same pipeline, same machine, same run — only the inner loop
     /// differs.
     fn speedup(&self) -> f64 {
-        self.vectorized_elems_per_sec / self.trampoline_elems_per_sec
+        self.vectorized_elems_per_sec / self.row_elems_per_sec
     }
 }
 
@@ -341,9 +336,9 @@ fn best_secs(reps: u32, mut run: impl FnMut() -> f64) -> f64 {
     (0..reps).map(|_| run()).fold(f64::INFINITY, f64::min)
 }
 
-/// Measures every kernel family in all three modes. Element counts are
-/// rows (each family targets one attribute), so the three rates are
-/// directly comparable per family.
+/// Measures every kernel family in both modes. Element counts are rows
+/// (each family targets one attribute), so the two rates are directly
+/// comparable per family.
 fn measure_kernels(n: i64, reps: u32) -> Vec<KernelMeasurement> {
     use icewafl_types::ColumnBatch;
 
@@ -351,8 +346,8 @@ fn measure_kernels(n: i64, reps: u32) -> Vec<KernelMeasurement> {
     let rows = kernel_rows(n);
     // Batches are converted ONCE, outside every timed region: the
     // microbench isolates the stage inner loop, so rows↔columns
-    // conversion — identical in both columnar modes and measured by the
-    // `columnar/*` scenario group above — must not dilute the ratio.
+    // conversion — measured by the `columnar/*` scenario group above —
+    // must not dilute the ratio.
     let batches: Vec<ColumnBatch> = rows
         .chunks(KERNEL_CHUNK)
         .map(|chunk| {
@@ -365,12 +360,6 @@ fn measure_kernels(n: i64, reps: u32) -> Vec<KernelMeasurement> {
         let mut pipeline = lower_pipeline(42, 0, std::slice::from_ref(&config), &schema)
             .expect("kernel family compiles")
             .expect("kernel family lowers to columns");
-        assert_eq!(
-            pipeline.vectorized_stages(),
-            1,
-            "`{family}` must ship a column kernel"
-        );
-
         // Row mode: loose tuples through `process_row`, no conversion.
         let best_row = best_secs(reps, || {
             let mut input = rows.clone();
@@ -381,19 +370,7 @@ fn measure_kernels(n: i64, reps: u32) -> Vec<KernelMeasurement> {
             start.elapsed().as_secs_f64()
         });
 
-        // Columnar batches, per-row trampoline inner loop.
-        pipeline.set_vectorized(false);
-        let best_tramp = best_secs(reps, || {
-            let mut input = batches.clone();
-            let start = Instant::now();
-            for batch in &mut input {
-                pipeline.process_batch(batch, &mut log);
-            }
-            start.elapsed().as_secs_f64()
-        });
-
         // Columnar batches, vectorized kernels.
-        pipeline.set_vectorized(true);
         let best_vec = best_secs(reps, || {
             let mut input = batches.clone();
             let start = Instant::now();
@@ -406,15 +383,14 @@ fn measure_kernels(n: i64, reps: u32) -> Vec<KernelMeasurement> {
         out.push(KernelMeasurement {
             family: family.to_string(),
             row_elems_per_sec: n as f64 / best_row,
-            trampoline_elems_per_sec: n as f64 / best_tramp,
             vectorized_elems_per_sec: n as f64 / best_vec,
         });
     }
     out
 }
 
-/// Geometric mean of the per-family vectorized/trampoline speedups —
-/// one number summarizing whether the kernels still beat the row-by-row
+/// Geometric mean of the per-family vectorized/row speedups — one
+/// number summarizing whether the kernels still beat the tuple-at-a-time
 /// inner loop. Geometric (not arithmetic) so one huge bitmap-kernel
 /// ratio cannot mask a regression in the compute-bound families.
 fn kernel_speedup_geomean(kernels: &[KernelMeasurement]) -> f64 {
@@ -574,11 +550,9 @@ fn render(
         for (i, k) in kernels.iter().enumerate() {
             out.push_str(&format!(
                 "    {{ \"family\": \"{}\", \"row_elems_per_sec\": {:.0}, \
-                 \"trampoline_elems_per_sec\": {:.0}, \"vectorized_elems_per_sec\": {:.0}, \
-                 \"speedup\": {:.2} }}{}\n",
+                 \"vectorized_elems_per_sec\": {:.0}, \"speedup\": {:.2} }}{}\n",
                 k.family,
                 k.row_elems_per_sec,
-                k.trampoline_elems_per_sec,
                 k.vectorized_elems_per_sec,
                 k.speedup(),
                 if i + 1 < kernels.len() { "," } else { "" }
@@ -644,14 +618,14 @@ const COLUMNAR_SPEEDUP_FLOOR: f64 = 1.5;
 /// that scheduler noise cannot flake CI.
 const SERVE_BINARY_RATIO_FLOOR: f64 = 0.5;
 
-/// Minimum geometric-mean vectorized/trampoline kernel speedup the
+/// Minimum geometric-mean vectorized/row kernel speedup the
 /// `--relative` gate accepts. Both inner loops run on the same pipeline
 /// object in the same process, so the ratio is hardware-independent.
 /// The bitmap and select kernels measure well above this; the floor's
-/// job is to catch the kernels silently degenerating into the per-row
-/// trampoline (geomean ~1.0), while sitting far enough under the
-/// measured geomean that the branchy stochastic families (gaussian,
-/// outlier) cannot flake CI on a noisy machine.
+/// job is to catch the kernels silently degenerating into a per-row
+/// loop (geomean ~1.0), while sitting far enough under the measured
+/// geomean that the branchy stochastic families (gaussian, outlier)
+/// cannot flake CI on a noisy machine.
 const KERNEL_SPEEDUP_FLOOR: f64 = 1.3;
 
 /// Compares measured throughput against a committed baseline; returns
@@ -751,11 +725,11 @@ fn check(
         // The kernel-level win is this rollout's second gated ratio:
         // the batch-size sweep above can stay healthy on transport
         // savings alone even if every kernel quietly falls back to the
-        // row-by-row trampoline, so gate the inner loops directly.
+        // tuple-at-a-time path, so gate the inner loops directly.
         let geomean = kernel_speedup_geomean(kernels);
         if geomean.is_finite() {
             eprintln!(
-                "vectorized/trampoline kernel speedup (geomean): {geomean:.2}x \
+                "vectorized/row kernel speedup (geomean): {geomean:.2}x \
                  (floor {KERNEL_SPEEDUP_FLOOR:.1}x)"
             );
             if geomean < KERNEL_SPEEDUP_FLOOR {
@@ -850,14 +824,13 @@ fn main() {
     }
 
     // Kernel microbench: every vectorized kernel family, element/s in
-    // row vs trampoline vs vectorized mode on one pipeline object.
+    // row vs vectorized mode on one pipeline object.
     let kernels = measure_kernels(n, reps);
     for k in &kernels {
         eprintln!(
-            "kernel/{:<24} {:>12.0} row  {:>12.0} tramp  {:>12.0} vec elems/s  ({:.2}x)",
+            "kernel/{:<24} {:>12.0} row  {:>12.0} vec elems/s  ({:.2}x)",
             k.family,
             k.row_elems_per_sec,
-            k.trampoline_elems_per_sec,
             k.vectorized_elems_per_sec,
             k.speedup()
         );

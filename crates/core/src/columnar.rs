@@ -3,11 +3,11 @@
 //!
 //! A plan names, at compile time, exactly which columns each polluter's
 //! condition reads and its error function writes. When every polluter in
-//! a sub-stream pipeline is a *schema-known, 1:1* stage — a
-//! [`StandardPolluter`] whose error function provably writes values of
-//! the column's own type — the pipeline lowers to a [`ColumnPipeline`]:
-//! a sequence of column kernels that run directly over a batch's typed
-//! attribute vectors instead of per-tuple `ValueVec`s.
+//! a sub-stream pipeline is a *schema-known, 1:1* stage whose condition
+//! and error function both ship a column kernel, the pipeline lowers to
+//! a [`ColumnPipeline`]: a sequence of column kernels that run directly
+//! over a batch's typed attribute vectors instead of per-tuple
+//! `ValueVec`s.
 //!
 //! **Exactness by construction.** A kernel does not reimplement the
 //! polluter — it *wraps* the very same [`StandardPolluter`] the row path
@@ -16,24 +16,22 @@
 //! log, and checkpoint snapshots are therefore byte-identical to row
 //! execution — the property `tests/batch_determinism.rs` pins.
 //!
-//! **Two execution modes per stage.** When logging is off and both of a
-//! stage's components ship a column kernel
-//! ([`StandardPolluter::has_column_kernels`]), the stage runs
-//! *vectorized*: the condition fills a branch-free byte mask over the
-//! whole batch ([bulk RNG draws](crate::rng::fill_uniform) service the
-//! stochastic conditions), pattern intensities are drawn for masked
-//! rows, and the error function's kernel edits the attribute vectors
-//! directly — combining the mask with the column validity bitmap, no
-//! tuple materialisation at all. Otherwise the stage *trampolines*:
-//! each row is staged into one reusable scratch tuple and fed through
-//! [`StandardPolluter::process_in_place`] — slower, but exact for every
-//! component. The dispatch is per stage, so one typo polluter does not
-//! rob its neighbours of their kernels. `docs/kernels.md` derives why
-//! both modes emit identical bytes.
+//! **One execution mode.** Every stage runs vectorized
+//! ([`StandardPolluter::process_columns`]): the condition fills a
+//! branch-free byte mask over the whole batch
+//! ([bulk RNG draws](crate::rng::fill_uniform) service the stochastic
+//! conditions), pattern intensities are drawn for masked rows, and the
+//! error function's kernel edits the attribute vectors directly —
+//! combining the mask with the column validity bitmap, no tuple
+//! materialisation at all. With the ground-truth log on, each stage
+//! also emits its `ValueChanged` entries tagged with their row; the
+//! pipeline stable-sorts them by row once the batch has crossed every
+//! stage, which reproduces the row path's (row, stage, attribute)
+//! order. `docs/kernels.md` derives why both orders agree.
 //!
-//! **Eligibility rules.** Lowering (and vectorization within a lowered
-//! pipeline) is governed by three named rules, reported verbatim by
-//! `--explain` when a sub-stream falls back to rows:
+//! **Eligibility rules.** Lowering is governed by four named rules,
+//! reported verbatim by `--explain` when a sub-stream falls back to
+//! rows:
 //!
 //! - `stateless-1to1` — the polluter maps one tuple to one tuple with
 //!   no cross-tuple state: native temporal polluters (delay, drop,
@@ -45,46 +43,22 @@
 //! - `schema-typed-writes` — the error function provably writes values
 //!   of its target columns' own types (or NULL), so a typed column
 //!   store absorbs the output without re-deriving types per row.
+//! - `column-kernels` — both the condition and the error function ship
+//!   a column kernel. Pattern and composite conditions and the typo,
+//!   incorrect-category, and attribute-swap errors do not, so their
+//!   sub-stream runs on rows.
 //!
 //! [`lower_pipeline`] returns `None` when any stage breaks a rule and
 //! the runner keeps `Vec<StampedTuple>` batches; [`lowering_blocker`]
 //! names the polluter *and* the rule it broke.
 
 use crate::config::{build_standard, ConditionConfig, ErrorConfig, PolluterConfig};
-use crate::log::PollutionLog;
-use crate::polluter::{Emission, StandardPolluter};
+use crate::log::{LogEntry, PollutionLog};
+use crate::polluter::{Emission, Polluter, StandardPolluter};
 use crate::rng::{ComponentPath, SeedFactory};
 use crate::snapshot::SlotState;
 use crate::stats::PolluterStatsHandle;
-use icewafl_types::{ColumnBatch, DataType, Result, Schema, StampedTuple, Timestamp, Tuple, Value};
-
-/// Column indices a condition reads, appended to `out`. Probability-,
-/// time-, and pattern-based conditions read only the stamp fields;
-/// value conditions read one named column; composites read the union of
-/// their children.
-fn condition_reads(cond: &ConditionConfig, schema: &Schema, out: &mut Vec<usize>) {
-    match cond {
-        ConditionConfig::Always
-        | ConditionConfig::Never
-        | ConditionConfig::Probability { .. }
-        | ConditionConfig::TimeWindow { .. }
-        | ConditionConfig::HourRange { .. }
-        | ConditionConfig::Sinusoidal { .. }
-        | ConditionConfig::LinearRamp { .. }
-        | ConditionConfig::Pattern { .. } => {}
-        ConditionConfig::Value { attribute, .. } => {
-            if let Some(idx) = schema.index_of(attribute) {
-                out.push(idx);
-            }
-        }
-        ConditionConfig::And { children } | ConditionConfig::Or { children } => {
-            for c in children {
-                condition_reads(c, schema, out);
-            }
-        }
-        ConditionConfig::Not { inner } => condition_reads(inner, schema, out),
-    }
-}
+use icewafl_types::{ColumnBatch, DataType, Result, Schema, StampedTuple, Timestamp};
 
 /// Whether `error` provably writes values of its target columns' own
 /// types (or NULL) — the condition for a typed column store to absorb
@@ -133,6 +107,7 @@ fn polluter_blocker(polluter: &PolluterConfig, schema: &Schema) -> Option<String
             name,
             attributes,
             error,
+            condition,
             ..
         } => {
             let attrs: Vec<usize> = match attributes
@@ -148,13 +123,22 @@ fn polluter_blocker(polluter: &PolluterConfig, schema: &Schema) -> Option<String
                     ))
                 }
             };
-            if error_lowerable(error, &attrs, schema) {
-                None
-            } else {
+            if !error_lowerable(error, &attrs, schema) {
                 Some(format!(
                     "`{name}` breaks rule schema-typed-writes: error output type not \
                      provable for its columns"
                 ))
+            } else if !condition_has_kernel(condition) {
+                Some(format!(
+                    "`{name}` breaks rule column-kernels: its condition has no column kernel"
+                ))
+            } else if !error_has_kernel(error) {
+                Some(format!(
+                    "`{name}` breaks rule column-kernels: its error function has no column \
+                     kernel"
+                ))
+            } else {
+                None
             }
         }
         PolluterConfig::Composite { name, .. } | PolluterConfig::OneOf { name, .. } => Some(
@@ -189,13 +173,13 @@ pub fn pipeline_lowerable(polluters: &[PolluterConfig], schema: &Schema) -> bool
     lowering_blocker(polluters, schema).is_none()
 }
 
-/// Config-level mirror of [`StandardPolluter::has_column_kernels`]:
-/// whether a standard polluter with this condition and error runs
-/// vectorized inside a lowered pipeline, decidable at plan time without
-/// building the polluter. The agreement between the two is pinned by a
-/// test; keep them in lockstep when adding kernels.
-pub fn kernel_vectorizable(condition: &ConditionConfig, error: &ErrorConfig) -> bool {
-    let cond_ok = match condition {
+/// Whether `condition` ships a column kernel — one half of the
+/// `column-kernels` rule and the config-level mirror of
+/// [`StandardPolluter::has_column_kernels`], decidable at plan time
+/// without building the polluter. The agreement between the two is
+/// pinned by a test; keep them in lockstep when adding kernels.
+fn condition_has_kernel(condition: &ConditionConfig) -> bool {
+    match condition {
         ConditionConfig::Always
         | ConditionConfig::Never
         | ConditionConfig::Probability { .. }
@@ -211,8 +195,13 @@ pub fn kernel_vectorizable(condition: &ConditionConfig, error: &ErrorConfig) -> 
         | ConditionConfig::And { .. }
         | ConditionConfig::Or { .. }
         | ConditionConfig::Not { .. } => false,
-    };
-    let error_ok = match error {
+    }
+}
+
+/// Whether `error` ships a column kernel — the other half of the
+/// `column-kernels` rule.
+fn error_has_kernel(error: &ErrorConfig) -> bool {
+    match error {
         ErrorConfig::GaussianNoise { .. }
         | ErrorConfig::UniformNoise { .. }
         | ErrorConfig::Scale { .. }
@@ -222,79 +211,10 @@ pub fn kernel_vectorizable(condition: &ConditionConfig, error: &ErrorConfig) -> 
         | ErrorConfig::MissingValue
         | ErrorConfig::Constant { .. }
         | ErrorConfig::TimestampShift { .. } => true,
-        // Per-row string surgery and pairwise swaps stay on the
-        // trampoline.
+        // Per-row string surgery and pairwise swaps have no kernel.
         ErrorConfig::Typo { .. }
         | ErrorConfig::IncorrectCategory { .. }
         | ErrorConfig::SwapAttributes => false,
-    };
-    cond_ok && error_ok
-}
-
-/// How many of a lowerable pipeline's stages run vectorized (the rest
-/// trampoline row by row inside the column pipeline). What `--explain`
-/// renders next to a `columnar` stage.
-pub fn vectorized_stage_count(polluters: &[PolluterConfig]) -> usize {
-    polluters
-        .iter()
-        .filter(|p| match p {
-            PolluterConfig::Standard {
-                condition, error, ..
-            } => kernel_vectorizable(condition, error),
-            _ => false,
-        })
-        .count()
-}
-
-/// One column kernel: a real [`StandardPolluter`] plus the column sets
-/// its trampoline materialises (reads ∪ writes) and writes back.
-struct ColumnStage {
-    polluter: StandardPolluter,
-    /// Columns copied into the scratch tuple before the row runs —
-    /// everything the condition reads plus everything the error writes.
-    touched: Vec<usize>,
-    /// Columns written back after the row runs (the error's `A_p`).
-    writes: Vec<usize>,
-    /// Whether both components ship a column kernel, captured at
-    /// lowering time ([`StandardPolluter::has_column_kernels`]).
-    vectorized: bool,
-}
-
-impl ColumnStage {
-    /// Runs one row through the kernel: stamp + touched columns into the
-    /// scratch tuple, the polluter's exact 1:1 core, written columns
-    /// back out.
-    #[inline]
-    fn apply(
-        &mut self,
-        batch: &mut ColumnBatch,
-        row: usize,
-        scratch: &mut StampedTuple,
-        log: &mut PollutionLog,
-    ) {
-        let (id, tau, arrival, sub_stream) = batch.stamp(row);
-        scratch.id = id;
-        scratch.tau = tau;
-        scratch.arrival = arrival;
-        scratch.sub_stream = sub_stream;
-        for &idx in &self.touched {
-            *scratch
-                .tuple
-                .get_mut(idx)
-                .expect("scratch has schema arity") = batch.column(idx).value_at(row);
-        }
-        self.polluter.process_in_place(scratch, log);
-        for &idx in &self.writes {
-            let value = std::mem::replace(
-                scratch
-                    .tuple
-                    .get_mut(idx)
-                    .expect("scratch has schema arity"),
-                Value::Null,
-            );
-            let stored = batch.column_mut(idx).set_value(row, value);
-            debug_assert!(stored, "lowering matrix guarantees type-preserving writes");
-        }
     }
 }
 
@@ -303,21 +223,17 @@ impl ColumnStage {
 /// row through the equivalent
 /// [`PollutionPipeline`](crate::pipeline::PollutionPipeline).
 pub struct ColumnPipeline {
-    stages: Vec<ColumnStage>,
-    /// One reusable full-arity tuple the trampoline writes rows into;
-    /// slots no kernel touches stay NULL forever.
-    scratch: StampedTuple,
+    stages: Vec<StandardPolluter>,
     /// The schema batches are typed against.
     schema: Schema,
-    /// Condition-mask scratch for the vectorized path, one byte per
-    /// row, reused across batches and stages.
+    /// Condition-mask scratch, one byte per row, reused across batches
+    /// and stages.
     mask: Vec<u8>,
-    /// Pattern-intensity scratch for the vectorized path.
+    /// Pattern-intensity scratch.
     intensities: Vec<f64>,
-    /// Escape hatch: `true` forces every stage through the row-exact
-    /// trampoline even when its kernels exist. The microbench uses this
-    /// to measure the kernels' win on the same pipeline object.
-    force_trampoline: bool,
+    /// Ground-truth entries of the batch in flight, each tagged with its
+    /// row; appended to the log in row order once every stage has run.
+    pending_log: Vec<(usize, LogEntry)>,
 }
 
 impl ColumnPipeline {
@@ -331,51 +247,35 @@ impl ColumnPipeline {
         self.stages.is_empty()
     }
 
-    /// How many stages run vectorized (condition *and* error ship
-    /// column kernels); the remaining `len() - vectorized_stages()`
-    /// stages trampoline row by row.
+    /// How many stages run vectorized — every one, since the
+    /// `column-kernels` rule admits no other kind; equal to
+    /// [`ColumnPipeline::len`].
     pub fn vectorized_stages(&self) -> usize {
-        self.stages.iter().filter(|s| s.vectorized).count()
+        self.stages.len()
     }
 
-    /// Forces (`on = false`) or re-enables (`on = true`) the vectorized
-    /// kernels. Output is byte-identical either way; the kernel
-    /// microbench flips this to measure the speedup on one pipeline
-    /// object without rebuilding state.
-    pub fn set_vectorized(&mut self, on: bool) {
-        self.force_trampoline = !on;
-    }
-
-    /// Runs a batch through every stage in place.
-    ///
-    /// With logging enabled the loop is row-major (a row crosses all
-    /// stages before the next row starts) so ground-truth log entries
-    /// land in exactly the order the row path writes them, every stage
-    /// on the trampoline. With logging disabled there is no observable
-    /// ordering between rows — each component's RNG sees rows in the
-    /// same order either way — so the loop flips to stage-major:
-    /// stages with column kernels run them over the whole batch
-    /// ([`StandardPolluter::process_columns`]), the rest trampoline one
-    /// attribute vector at a time.
+    /// Runs a batch through every stage in place, stage-major: each
+    /// stage's kernels cover the whole batch before the next stage
+    /// starts ([`StandardPolluter::process_columns`]). Each component's
+    /// RNG sees rows in the same order as on the row path, so the
+    /// output bytes match it. With logging enabled the stages push
+    /// row-tagged entries, and a stable sort by row restores the row
+    /// path's (row, stage, attribute) log order before the entries
+    /// reach `log`.
     pub fn process_batch(&mut self, batch: &mut ColumnBatch, log: &mut PollutionLog) {
-        if log.is_enabled() {
-            for row in 0..batch.len() {
-                for stage in &mut self.stages {
-                    stage.apply(batch, row, &mut self.scratch, log);
-                }
-            }
-        } else {
-            for stage in &mut self.stages {
-                if stage.vectorized && !self.force_trampoline {
-                    stage
-                        .polluter
-                        .process_columns(batch, &mut self.mask, &mut self.intensities);
-                } else {
-                    for row in 0..batch.len() {
-                        stage.apply(batch, row, &mut self.scratch, log);
-                    }
-                }
-            }
+        let logging = log.is_enabled();
+        for stage in &mut self.stages {
+            stage.process_columns(
+                batch,
+                &mut self.mask,
+                &mut self.intensities,
+                logging.then_some(&mut self.pending_log),
+            );
+        }
+        // Stable: within a row, entries keep stage and attribute order.
+        self.pending_log.sort_by_key(|&(row, _)| row);
+        for (_, entry) in self.pending_log.drain(..) {
+            log.record(entry);
         }
     }
 
@@ -384,7 +284,7 @@ impl ColumnPipeline {
     /// records and for rows a batch conversion handed back.
     pub fn process_row(&mut self, tuple: &mut StampedTuple, log: &mut PollutionLog) {
         for stage in &mut self.stages {
-            stage.polluter.process_in_place(tuple, log);
+            stage.process_in_place(tuple, log);
         }
     }
 
@@ -419,7 +319,7 @@ impl ColumnPipeline {
         let mut buf = Vec::new();
         for stage in &mut self.stages {
             let mut em = Emission::new(&mut buf, log);
-            crate::polluter::Polluter::on_watermark(&mut stage.polluter, wm, &mut em);
+            Polluter::on_watermark(stage, wm, &mut em);
         }
         debug_assert!(buf.is_empty(), "standard polluters release nothing");
     }
@@ -429,7 +329,7 @@ impl ColumnPipeline {
         let mut buf = Vec::new();
         for stage in &mut self.stages {
             let mut em = Emission::new(&mut buf, log);
-            crate::polluter::Polluter::finish(&mut stage.polluter, &mut em);
+            Polluter::finish(stage, &mut em);
         }
         debug_assert!(buf.is_empty(), "standard polluters release nothing");
     }
@@ -438,7 +338,7 @@ impl ColumnPipeline {
     /// expose).
     pub fn collect_stats(&self, out: &mut Vec<PolluterStatsHandle>) {
         for stage in &self.stages {
-            crate::polluter::Polluter::collect_stats(&stage.polluter, out);
+            stage.collect_stats(out);
         }
     }
 
@@ -449,12 +349,7 @@ impl ColumnPipeline {
     /// objects. A checkpoint
     /// taken under one representation restores under the other.
     pub fn snapshot_states(&self) -> Option<String> {
-        SlotState::doc(
-            self.stages
-                .iter()
-                .map(|s| crate::polluter::Polluter::snapshot_state(&s.polluter))
-                .collect(),
-        )
+        SlotState::doc(self.stages.iter().map(|s| s.snapshot_state()).collect())
     }
 
     /// Restores per-stage states captured by
@@ -464,7 +359,7 @@ impl ColumnPipeline {
         let slots = SlotState::parse(state, self.stages.len(), "pollution pipeline")?;
         for (stage, slot) in self.stages.iter_mut().zip(slots) {
             if let Some(doc) = slot {
-                crate::polluter::Polluter::restore_state(&mut stage.polluter, &doc)?;
+                stage.restore_state(&doc)?;
             }
         }
         Ok(())
@@ -510,24 +405,18 @@ pub fn lower_pipeline(
             &seeds,
             &path.index(j),
         )?;
-        let mut touched = polluter.attrs().to_vec();
-        condition_reads(condition, schema, &mut touched);
-        touched.sort_unstable();
-        touched.dedup();
-        stages.push(ColumnStage {
-            writes: polluter.attrs().to_vec(),
-            touched,
-            vectorized: polluter.has_column_kernels(),
-            polluter,
-        });
+        debug_assert!(
+            polluter.has_column_kernels(),
+            "the column-kernels rule admits only stages with kernels"
+        );
+        stages.push(polluter);
     }
     Ok(Some(ColumnPipeline {
         stages,
-        scratch: StampedTuple::new(0, Timestamp(0), Tuple::new(vec![Value::Null; schema.len()])),
         schema: schema.clone(),
         mask: Vec::new(),
         intensities: Vec::new(),
-        force_trampoline: false,
+        pending_log: Vec::new(),
     }))
 }
 
@@ -536,8 +425,7 @@ mod tests {
     use super::*;
     use crate::config::build_pipelines;
     use crate::pattern::ChangePattern;
-    use crate::polluter::Emission;
-    use icewafl_types::Timestamp;
+    use icewafl_types::{Tuple, Value};
 
     fn schema() -> Schema {
         Schema::from_pairs([
@@ -782,85 +670,154 @@ mod tests {
 
     #[test]
     fn every_vectorized_family_matches_row_path() {
-        let polluters = every_kernel_family();
-        for logging in [true, false] {
-            let (rows_out, rows_log) = run_rows(&polluters, 23, rows(500), logging);
-            let (cols_out, cols_log) = run_columns(&polluters, 23, rows(500), logging);
-            assert_eq!(cols_out, rows_out, "tuples (logging={logging})");
+        let std =
+            |name: &str, attrs: &[&str], error: ErrorConfig, p: f64| PolluterConfig::Standard {
+                name: name.into(),
+                attributes: attrs.iter().map(|a| a.to_string()).collect(),
+                error,
+                condition: ConditionConfig::Probability { p },
+                pattern: None,
+            };
+        // A two-attribute stage between single-attribute stages on the
+        // same columns pins the (row, stage, attribute) log order.
+        let multi_attribute = vec![
+            std(
+                "scale-dist",
+                &["Distance"],
+                ErrorConfig::Scale { factor: 3.0 },
+                0.6,
+            ),
+            std(
+                "null-both",
+                &["BPM", "Distance"],
+                ErrorConfig::MissingValue,
+                0.3,
+            ),
+            std(
+                "scale-bpm",
+                &["BPM"],
+                ErrorConfig::Scale { factor: 2.0 },
+                0.5,
+            ),
+        ];
+        // Rounding an integral column fires without changing a value:
+        // only changed attributes may be logged.
+        let unchanged = vec![
+            std(
+                "round-bpm",
+                &["BPM"],
+                ErrorConfig::Round { precision: 0 },
+                0.8,
+            ),
+            std(
+                "scale-bpm",
+                &["BPM"],
+                ErrorConfig::Scale { factor: 1.5 },
+                0.4,
+            ),
+        ];
+        for polluters in [every_kernel_family(), multi_attribute, unchanged] {
+            for logging in [true, false] {
+                let (rows_out, rows_log) = run_rows(&polluters, 23, rows(500), logging);
+                let (cols_out, cols_log) = run_columns(&polluters, 23, rows(500), logging);
+                assert_eq!(cols_out, rows_out, "tuples (logging={logging})");
+                assert_eq!(
+                    serde_json::to_string(cols_log.entries()).unwrap(),
+                    serde_json::to_string(rows_log.entries()).unwrap(),
+                    "ground-truth log (logging={logging})"
+                );
+                assert_eq!(rows_log.is_empty(), !logging, "the log sees changes");
+                assert!(
+                    rows_log
+                        .entries()
+                        .iter()
+                        .all(|e| e.polluter() != "round-bpm"),
+                    "an unchanged value is never logged"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn plan_time_kernel_rule_agrees_with_built_kernels() {
+        // The config-level `column-kernels` rule and the built
+        // polluter's `has_column_kernels` must never disagree: lowering
+        // trusts the former, `process_columns` needs the latter.
+        let mut cases = every_kernel_family();
+        cases.extend(noisy_pipeline());
+        cases.extend(kernel_less_stages());
+        let seeds = SeedFactory::new(3);
+        for p in &cases {
+            let PolluterConfig::Standard {
+                name,
+                attributes,
+                error,
+                condition,
+                pattern,
+            } = p
+            else {
+                unreachable!()
+            };
+            let built = build_standard(
+                name,
+                attributes,
+                error,
+                condition,
+                pattern,
+                &schema(),
+                &seeds,
+                &ComponentPath::root(),
+            )
+            .unwrap();
             assert_eq!(
-                serde_json::to_string(cols_log.entries()).unwrap(),
-                serde_json::to_string(rows_log.entries()).unwrap(),
-                "ground-truth log (logging={logging})"
+                condition_has_kernel(condition) && error_has_kernel(error),
+                built.has_column_kernels(),
+                "`{name}`"
             );
         }
     }
 
-    #[test]
-    fn forced_trampoline_matches_vectorized() {
-        let polluters = every_kernel_family();
-        let run = |vectorized: bool| {
-            let mut pipeline = lower_pipeline(5, 0, &polluters, &schema())
-                .unwrap()
-                .expect("lowerable");
-            pipeline.set_vectorized(vectorized);
-            let mut log = PollutionLog::disabled();
-            let mut out = Vec::new();
-            for chunk in rows(500).chunks(96) {
-                let mut batch = ColumnBatch::from_rows(&schema(), chunk.to_vec()).unwrap();
-                pipeline.process_batch(&mut batch, &mut log);
-                out.extend(batch.into_rows());
-            }
-            pipeline.finish(&mut log);
-            out
-        };
-        assert_eq!(run(true), run(false));
+    /// Stages that type-check on their columns but have no column
+    /// kernel: a typo on a string column and a pattern condition.
+    fn kernel_less_stages() -> Vec<PolluterConfig> {
+        vec![
+            PolluterConfig::Standard {
+                name: "typo".into(),
+                attributes: vec!["sensor".into()],
+                error: ErrorConfig::Typo {
+                    kind: crate::error_fn::TypoKind::Any,
+                },
+                condition: ConditionConfig::Always,
+                pattern: None,
+            },
+            PolluterConfig::Standard {
+                name: "pattern-cond".into(),
+                attributes: vec!["BPM".into()],
+                error: ErrorConfig::MissingValue,
+                condition: ConditionConfig::Pattern {
+                    pattern: ChangePattern::Abrupt { at: Timestamp(0) },
+                    p_min: 0.0,
+                    p_max: 1.0,
+                },
+                pattern: None,
+            },
+        ]
     }
 
     #[test]
-    fn plan_time_vectorizability_agrees_with_built_kernels() {
-        // The config-level predicate and the built polluter's
-        // `has_column_kernels` must never disagree — `--explain`'s
-        // vectorized-stage counts come from the former, dispatch from
-        // the latter.
-        let mut cases = every_kernel_family();
-        cases.extend(noisy_pipeline());
-        cases.push(PolluterConfig::Standard {
-            name: "typo".into(),
-            attributes: vec!["sensor".into()],
-            error: ErrorConfig::Typo {
-                kind: crate::error_fn::TypoKind::Any,
-            },
-            condition: ConditionConfig::Always,
-            pattern: None,
-        });
-        cases.push(PolluterConfig::Standard {
-            name: "pattern-cond".into(),
-            attributes: vec!["BPM".into()],
-            error: ErrorConfig::MissingValue,
-            condition: ConditionConfig::Pattern {
-                pattern: ChangePattern::Abrupt { at: Timestamp(0) },
-                p_min: 0.0,
-                p_max: 1.0,
-            },
-            pattern: None,
-        });
-        for p in &cases {
-            let single = std::slice::from_ref(p);
-            let predicted = vectorized_stage_count(single);
-            let built = lower_pipeline(3, 0, single, &schema())
-                .unwrap()
-                .expect("all cases lower")
-                .vectorized_stages();
-            let PolluterConfig::Standard { name, .. } = p else {
-                unreachable!()
-            };
-            assert_eq!(predicted, built, "`{name}`");
+    fn kernel_less_stages_block_lowering() {
+        let s = schema();
+        for stage in kernel_less_stages() {
+            // Alone or next to a kernel stage, the whole sub-stream
+            // stays on rows and the blocker names the rule.
+            let mut pipeline = noisy_pipeline();
+            pipeline.insert(1, stage.clone());
+            for polluters in [vec![stage], pipeline] {
+                let blocker = lowering_blocker(&polluters, &s).unwrap();
+                assert!(blocker.contains("breaks rule column-kernels"), "{blocker}");
+                assert!(lower_pipeline(1, 0, &polluters, &s).unwrap().is_none());
+            }
         }
-        assert_eq!(
-            vectorized_stage_count(&every_kernel_family()),
-            every_kernel_family().len(),
-            "the family matrix is fully vectorized"
-        );
     }
 
     #[test]
@@ -999,7 +956,8 @@ mod tests {
             pattern: None,
         };
         assert!(lowering_blocker(&[good], &s).is_none());
-        // Typos lower on Str columns only.
+        // Typos pass the typed-writes rule on Str columns only; there
+        // the missing kernel blocks them instead.
         let typo = |attr: &str| PolluterConfig::Standard {
             name: "typo".into(),
             attributes: vec![attr.into()],
@@ -1009,25 +967,12 @@ mod tests {
             condition: ConditionConfig::Always,
             pattern: None,
         };
-        assert!(lowering_blocker(&[typo("sensor")], &s).is_none());
-        assert!(lowering_blocker(&[typo("Distance")], &s).is_some());
-    }
-
-    #[test]
-    fn string_kernels_match_row_path() {
-        let polluters = vec![PolluterConfig::Standard {
-            name: "typo".into(),
-            attributes: vec!["sensor".into()],
-            error: ErrorConfig::Typo {
-                kind: crate::error_fn::TypoKind::Any,
-            },
-            condition: ConditionConfig::Probability { p: 0.4 },
-            pattern: None,
-        }];
-        let (rows_out, rows_log) = run_rows(&polluters, 9, rows(300), true);
-        let (cols_out, cols_log) = run_columns(&polluters, 9, rows(300), true);
-        assert_eq!(cols_out, rows_out);
-        assert_eq!(cols_log.len(), rows_log.len());
+        assert!(lowering_blocker(&[typo("sensor")], &s)
+            .unwrap()
+            .contains("column-kernels"));
+        assert!(lowering_blocker(&[typo("Distance")], &s)
+            .unwrap()
+            .contains("schema-typed-writes"));
     }
 
     #[test]

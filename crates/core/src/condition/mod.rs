@@ -59,8 +59,8 @@ pub trait Condition: Send {
     /// same answers *and* the same RNG draw sequence for stochastic
     /// conditions. Conditions without a proof of that equivalence (the
     /// interleaved-draw [`PatternProbability`], composites) leave this
-    /// `false` and the columnar pipeline falls back to the row-exact
-    /// trampoline for the whole polluter.
+    /// `false`, and a sub-stream containing them stays on the row path
+    /// (the `column-kernels` lowering rule).
     fn has_column_kernel(&self) -> bool {
         false
     }

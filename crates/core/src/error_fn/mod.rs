@@ -63,8 +63,9 @@ pub trait ErrorFunction: Send {
     /// byte-identical to calling [`ErrorFunction::apply`] on each fired
     /// row in order — same values *and* the same RNG draw sequence.
     /// Functions without a proof of that equivalence (string typos,
-    /// category swaps, attribute swaps) leave this `false` and the
-    /// columnar pipeline falls back to the row-exact trampoline.
+    /// category swaps, attribute swaps) leave this `false`, and a
+    /// sub-stream containing them stays on the row path (the
+    /// `column-kernels` lowering rule).
     fn has_column_kernel(&self) -> bool {
         false
     }

@@ -87,8 +87,8 @@ impl ErrorFunction for GaussianNoise {
     ) {
         // Stochastic: the draw order (row-outer, attr-inner, one normal
         // per valid numeric slot) must match the row path exactly, so
-        // the loop stays scalar — the win over the trampoline is
-        // skipping the column↔tuple materialisation round trip.
+        // the loop stays scalar — the win over the row path is
+        // skipping per-tuple value access.
         let relative = self.relative;
         for row in 0..batch.len() {
             if mask[row] == 0 {

@@ -57,7 +57,7 @@
 //! assert_eq!(out.polluted.len(), 32);
 //! ```
 
-use crate::columnar::{lower_pipeline, lowering_blocker, vectorized_stage_count};
+use crate::columnar::{lower_pipeline, lowering_blocker};
 use crate::config::{
     build_pipelines, ChaosSectionConfig, CheckpointSectionConfig, ConditionConfig, ErrorConfig,
     PolluterConfig, SupervisionConfig,
@@ -144,11 +144,7 @@ pub enum SubstreamRepr {
     /// The pipeline lowered to column kernels over
     /// [`icewafl_types::ColumnBatch`]es.
     Columnar {
-        /// Stages running genuinely vectorized (both components ship a
-        /// column kernel); the rest trampoline row by row inside the
-        /// column pipeline.
-        vectorized: usize,
-        /// Total kernel stages in the pipeline.
+        /// Kernel stages in the pipeline.
         stages: usize,
     },
     /// The pipeline processes row batches; `reason` names the polluter
@@ -359,7 +355,6 @@ impl LogicalPlan {
             .enumerate()
             .map(|(i, polluters)| {
                 let columnar = || SubstreamRepr::Columnar {
-                    vectorized: vectorized_stage_count(polluters),
                     stages: polluters.len(),
                 };
                 match self.repr {
@@ -790,9 +785,8 @@ fn predict_stages(
     for i in 0..m {
         let l = label("pollution_pipeline");
         let repr = match reprs.get(i) {
-            Some(SubstreamRepr::Columnar { vectorized, stages }) => format!(
-                " [columnar kernels; {vectorized}/{stages} stages vectorized; \
-                 rows→columns→rows per transport batch]"
+            Some(SubstreamRepr::Columnar { stages }) => format!(
+                " [columnar kernels; {stages} stages; rows→columns→rows per transport batch]"
             ),
             Some(SubstreamRepr::Row { reason }) => format!(" [row batches; {reason}]"),
             None => String::new(),
@@ -1076,12 +1070,20 @@ impl ControlHandle {
     /// Schedules `deltas` to apply atomically at the first watermark
     /// `>= at`. Returns the validated successor plan.
     ///
-    /// Fails — without scheduling anything — if a delta is invalid, the
-    /// successor plan does not build against the schema, or the delta
-    /// changes the number of sub-streams (the physical fan-out of a
-    /// running job is fixed).
+    /// Fails — without scheduling anything — if the plan checkpoints (a
+    /// restore rebuilds pipelines from the original plan, so the two
+    /// features do not compose), a delta is invalid, the successor plan
+    /// does not build against the schema, or the delta changes the
+    /// number of sub-streams (the physical fan-out of a running job is
+    /// fixed).
     pub fn reconfigure_at(&self, at: Timestamp, deltas: &[PlanDelta]) -> Result<LogicalPlan> {
         let mut latest = self.latest.lock();
+        if latest.checkpoint.is_some() {
+            return Err(Error::plan(
+                "live reconfiguration of a plan with a checkpoint section is unsupported: \
+                 a restore would rebuild the pre-swap pipelines",
+            ));
+        }
         let next = latest.apply(deltas)?;
         if next.pipelines.len() != latest.pipelines.len() {
             return Err(Error::plan(format_args!(
@@ -1246,11 +1248,11 @@ mod tests {
 
     #[test]
     fn explain_reports_vectorization_and_fallback_rules() {
-        // A lowerable pipeline reports its vectorized-stage count…
+        // A lowerable pipeline reports its kernel-stage count…
         let plan = LogicalPlan::new(1, vec![vec![null_spec(0.5)]]);
         let explain = plan.compile(&schema()).unwrap().explain();
         assert!(
-            explain.contains("1/1 stages vectorized"),
+            explain.contains("[columnar kernels; 1 stages;"),
             "missing count in: {explain}"
         );
         // …and a blocked one names the eligibility rule that failed.
@@ -1491,5 +1493,61 @@ mod tests {
         assert_eq!(handle.scheduled(), 1);
         assert_eq!(handle.current_plan(), next);
         assert_eq!(handle.epochs_applied(), 0, "nothing ran yet");
+    }
+
+    #[test]
+    fn control_handle_rejects_reconfiguring_a_checkpointed_plan() {
+        let plan = LogicalPlan {
+            checkpoint: Some(CheckpointSectionConfig::default()),
+            ..LogicalPlan::new(1, vec![vec![null_spec(0.5)]])
+        };
+        let handle = plan.compile(&schema()).unwrap().control_handle();
+        let err = handle
+            .reconfigure_at(
+                Timestamp(1000),
+                &[PlanDelta::SetError {
+                    polluter: "null-x".into(),
+                    error: ErrorConfig::Scale { factor: 2.0 },
+                }],
+            )
+            .unwrap_err();
+        assert!(matches!(err, Error::Plan { .. }), "{err}");
+        assert!(err.to_string().contains("checkpoint"), "{err}");
+        assert_eq!(handle.scheduled(), 0, "nothing scheduled");
+        assert_eq!(handle.current_plan(), plan);
+    }
+
+    #[test]
+    fn kernel_less_stages_lower_to_row_or_fail_columnar() {
+        let pattern_null = PolluterConfig::Standard {
+            name: "ramp-null".into(),
+            attributes: vec!["x".into()],
+            error: ErrorConfig::MissingValue,
+            condition: ConditionConfig::Pattern {
+                pattern: crate::pattern::ChangePattern::Abrupt { at: Timestamp(0) },
+                p_min: 0.0,
+                p_max: 1.0,
+            },
+            pattern: None,
+        };
+        let plan = LogicalPlan::new(1, vec![vec![null_spec(0.5), pattern_null]]);
+        match &plan.substream_reprs(&schema()).unwrap()[..] {
+            [SubstreamRepr::Row { reason }] => {
+                assert!(
+                    reason.contains("`ramp-null` breaks rule column-kernels"),
+                    "{reason}"
+                )
+            }
+            other => panic!("auto must lower to row: {other:?}"),
+        }
+        let pinned = LogicalPlan {
+            repr: ReprHint::Columnar,
+            ..plan
+        };
+        let Err(err) = pinned.compile(&schema()) else {
+            panic!("repr = columnar must not compile a kernel-less stage")
+        };
+        assert!(matches!(err, Error::Plan { .. }), "{err}");
+        assert!(err.to_string().contains("column-kernels"), "{err}");
     }
 }

@@ -183,10 +183,9 @@ impl StandardPolluter {
 
     /// The 1:1 in-place core of [`Polluter::process`]: evaluates the
     /// condition, draws the pattern intensity, and applies the error
-    /// function to `tuple` without emitting it. The column kernels in
-    /// [`crate::columnar`] call this per row against a reusable scratch
-    /// tuple; `process` is this plus an emit, so the two paths share one
-    /// RNG/stats/log sequence by construction.
+    /// function to `tuple` without emitting it. `process` is this plus
+    /// an emit; [`crate::columnar::ColumnPipeline::process_row`] calls
+    /// it for loose rows.
     pub fn process_in_place(&mut self, tuple: &mut StampedTuple, log: &mut PollutionLog) {
         self.pending.condition_evals += 1;
         let mut fired = false;
@@ -238,20 +237,26 @@ impl StandardPolluter {
     /// Whether both components of this polluter ship a column kernel,
     /// i.e. [`StandardPolluter::process_columns`] is byte-identical to
     /// running [`StandardPolluter::process_in_place`] over the batch row
-    /// by row. Lowering checks this per polluter; a `false` keeps the
-    /// stage on the row-exact trampoline.
+    /// by row. The plan-time `column-kernels` lowering rule mirrors
+    /// this; a polluter without kernels keeps its sub-stream on rows.
     pub fn has_column_kernels(&self) -> bool {
         self.condition.has_column_kernel() && self.error_fn.has_column_kernel()
     }
 
-    /// The whole-batch form of [`StandardPolluter::process_in_place`]
-    /// (logging disabled): evaluate the condition over all rows into a
-    /// byte mask, draw pattern intensities for the masked rows in row
-    /// order, then hand the surviving mask to the error function's
-    /// column kernel. Each component owns a private RNG, so running the
-    /// three phases batch-at-a-time instead of interleaved per row
-    /// leaves every RNG's draw sequence unchanged — the byte-identity
-    /// argument is spelled out in `docs/kernels.md`.
+    /// The whole-batch form of [`StandardPolluter::process_in_place`]:
+    /// evaluate the condition over all rows into a byte mask, draw
+    /// pattern intensities for the masked rows in row order, then hand
+    /// the surviving mask to the error function's column kernel. Each
+    /// component owns a private RNG, so running the three phases
+    /// batch-at-a-time instead of interleaved per row leaves every RNG's
+    /// draw sequence unchanged — the byte-identity argument is spelled
+    /// out in `docs/kernels.md`.
+    ///
+    /// With `log` given (ground-truth logging on), the fired rows'
+    /// before-values are captured ahead of the kernel, and afterwards
+    /// one `(row, ValueChanged)` pair is pushed per attribute whose
+    /// value changed — the same `!=` test `process_in_place` applies —
+    /// in row order, attributes in `A_p` order.
     ///
     /// `mask` and `intensities` are caller-owned scratch, resized to
     /// `batch.len()` here.
@@ -260,6 +265,7 @@ impl StandardPolluter {
         batch: &mut ColumnBatch,
         mask: &mut Vec<u8>,
         intensities: &mut Vec<f64>,
+        log: Option<&mut Vec<(usize, LogEntry)>>,
     ) {
         let n = batch.len();
         self.pending.condition_evals += n as u64;
@@ -292,9 +298,41 @@ impl StandardPolluter {
         }
         self.pending.fires += fires;
         self.pending.skips += n as u64 - fires;
-        if fires > 0 {
+        if fires == 0 {
+            return;
+        }
+        let Some(log) = log else {
             self.error_fn
                 .apply_columns(batch, &self.attrs, mask, intensities);
+            return;
+        };
+        let fired = || (0..n).filter(|&row| mask[row] != 0);
+        self.before.clear();
+        for row in fired() {
+            self.before
+                .extend(self.attrs.iter().map(|&i| batch.column(i).value_at(row)));
+        }
+        self.error_fn
+            .apply_columns(batch, &self.attrs, mask, intensities);
+        let mut before = self.before.drain(..);
+        for row in fired() {
+            for (k, &idx) in self.attrs.iter().enumerate() {
+                let before = before.next().expect("one before-value per fired cell");
+                let after = batch.column(idx).value_at(row);
+                if before != after {
+                    log.push((
+                        row,
+                        LogEntry::ValueChanged {
+                            tuple_id: batch.ids()[row],
+                            polluter: self.name.clone(),
+                            attr: self.attr_names[k].clone(),
+                            before,
+                            after,
+                            tau: Timestamp(batch.taus()[row]),
+                        },
+                    ));
+                }
+            }
         }
     }
 }

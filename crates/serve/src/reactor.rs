@@ -8,6 +8,7 @@
 //!                    ↘ telemetry hand-off (interval thread)
 //!                    ↘ Subscribe ————————————————↗
 //!                    ↘ Closing (rejections)
+//! close = bookkeeping → Linger (half-closed until the peer hangs up)
 //! ```
 //!
 //! Every registration is one-shot: a readiness event parks the socket
@@ -52,7 +53,7 @@ use std::net::TcpStream;
 use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The listener's epoll token; session ids start at 1.
 const LISTENER_TOKEN: u64 = 0;
@@ -77,6 +78,10 @@ const READ_BUDGET: usize = 1 << 20;
 /// encoded frames, not its whole output stream.
 const OUTBOX_HIGH: usize = 256 * 1024;
 
+/// Longest a closed connection lingers half-closed, discarding input,
+/// before its socket is dropped on a peer that never hangs up.
+const LINGER_TIMEOUT: Duration = Duration::from_millis(500);
+
 /// Sample 1-in-N encodes for the `encode_ns` telemetry counter.
 const ENCODE_SAMPLE_MASK: u64 = 63;
 
@@ -98,6 +103,9 @@ enum Phase {
     Subscribe,
     /// Nothing left to produce: flush the outbox, then close.
     Closing,
+    /// Closed and half-closed (FIN sent): input is discarded until the
+    /// peer hangs up or `deadline` passes, then the socket is dropped.
+    Linger { deadline: Instant },
     /// Closed (or handed off to a telemetry thread); terminal.
     Closed,
 }
@@ -264,6 +272,9 @@ struct Reactor {
     conn_count: AtomicUsize,
     queue: WorkQueue,
     telemetry_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// Lingering connections and their deadlines; the event loop
+    /// re-drives each one whose deadline has passed.
+    lingering: Mutex<Vec<(u64, Instant)>>,
 }
 
 impl Reactor {
@@ -323,6 +334,7 @@ pub(crate) fn run(server: &Server) -> Result<()> {
         conn_count: AtomicUsize::new(0),
         queue: WorkQueue::new(),
         telemetry_threads: Mutex::new(Vec::new()),
+        lingering: Mutex::new(Vec::new()),
     });
     let worker_threads: Vec<_> = (0..workers)
         .map(|i| {
@@ -368,6 +380,14 @@ pub(crate) fn run(server: &Server) -> Result<()> {
         if let Some(e) = accept_err {
             break Err(e);
         }
+        let now = Instant::now();
+        rt.lingering.lock().retain(|&(token, deadline)| {
+            let expired = deadline <= now;
+            if expired {
+                rt.queue.push(token);
+            }
+            !expired
+        });
     };
 
     rt.queue.close();
@@ -506,6 +526,7 @@ fn drive(rt: &Arc<Reactor>, slot: &Arc<Slot>, token: u64) {
             Phase::Drain => step_drain(rt, &mut conn),
             Phase::Subscribe => step_subscribe(rt, &mut conn),
             Phase::Closing => Step::Park,
+            Phase::Linger { deadline } => step_linger(rt, &mut conn, deadline),
             Phase::Closed => Step::Done,
         };
         match step {
@@ -545,7 +566,7 @@ fn drive_flush_and_rearm(rt: &Arc<Reactor>, slot: &Arc<Slot>, conn: &mut Conn) {
         }
     }
     let mut interest = match conn.phase {
-        Phase::Handshake | Phase::Ingest => EPOLLIN,
+        Phase::Handshake | Phase::Ingest | Phase::Linger { .. } => EPOLLIN,
         Phase::Drain | Phase::Closing => EPOLLOUT,
         // Subscribers watch for hangup; EPOLLOUT only while indebted —
         // otherwise a publisher kick re-arms the write side.
@@ -1120,11 +1141,11 @@ fn step_subscribe(rt: &Arc<Reactor>, conn: &mut Conn) -> Step {
 // ---------------------------------------------------------------------
 
 /// Final bookkeeping for one connection: result counters, global frame
-/// counters, session-table row, capacity slot, hub detach, epoll
-/// deregistration. Safe to call from any phase; idempotent via the
-/// `Closed` phase.
+/// counters, session-table row, capacity slot, hub detach — then the
+/// socket lingers half-closed (see [`linger`]). Safe to call from any
+/// phase; idempotent via the `Linger` and `Closed` phases.
 fn close_conn(rt: &Arc<Reactor>, conn: &mut Conn) {
-    if matches!(conn.phase, Phase::Closed) {
+    if matches!(conn.phase, Phase::Linger { .. } | Phase::Closed) {
         return;
     }
     conn.phase = Phase::Closed;
@@ -1203,7 +1224,69 @@ fn close_conn(rt: &Arc<Reactor>, conn: &mut Conn) {
         }
     }
 
+    linger(rt, conn);
+}
+
+/// Half-closes a finished connection instead of dropping it. Closing a
+/// socket whose receive queue holds unread bytes makes the kernel answer
+/// with RST, and an RST can overtake — and discard — the reply still in
+/// flight to the peer (a capacity rejection racing the client's
+/// handshake line). So: send FIN after the queued bytes, discard input,
+/// and drop the socket only once the peer hangs up or
+/// [`LINGER_TIMEOUT`] passes.
+fn linger(rt: &Arc<Reactor>, conn: &mut Conn) {
+    // Whatever the outbox still holds is moot: a clean close only
+    // happens once it has flushed.
+    conn.outbox = WriteQueue::new();
+    let _ = conn.sock.shutdown(std::net::Shutdown::Write);
+    let deadline = Instant::now() + LINGER_TIMEOUT;
+    conn.phase = Phase::Linger { deadline };
+    if discard_input(conn)
+        || rt
+            .poller
+            .rearm(conn.sock.as_raw_fd(), conn.id, EPOLLIN)
+            .is_err()
+    {
+        release_socket(rt, conn);
+        return;
+    }
+    rt.lingering.lock().push((conn.id, deadline));
+}
+
+/// One drive of a lingering connection: drop it once the peer has hung
+/// up or the deadline has passed, else keep waiting.
+fn step_linger(rt: &Arc<Reactor>, conn: &mut Conn, deadline: Instant) -> Step {
+    if discard_input(conn) || Instant::now() >= deadline {
+        release_socket(rt, conn);
+        return Step::Done;
+    }
+    Step::Park
+}
+
+/// Reads and drops whatever the peer sent (up to the drive budget);
+/// `true` once the peer has hung up (EOF) or the socket failed.
+fn discard_input(conn: &mut Conn) -> bool {
+    let mut budget = READ_BUDGET;
+    let mut buf = [0u8; READ_CHUNK];
+    loop {
+        match (&conn.sock).read(&mut buf) {
+            Ok(0) => return true,
+            Ok(n) => {
+                budget = budget.saturating_sub(n);
+                if budget == 0 {
+                    return false;
+                }
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return false,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) => return true,
+        }
+    }
+}
+
+/// Deregisters and drops a connection's socket: the terminal step.
+fn release_socket(rt: &Arc<Reactor>, conn: &mut Conn) {
+    conn.phase = Phase::Closed;
     let _ = rt.poller.deregister(conn.sock.as_raw_fd());
-    let _ = conn.sock.shutdown(std::net::Shutdown::Both);
     rt.remove(conn.id);
 }

@@ -56,8 +56,8 @@ pub mod window;
 
 pub use chaos::{ChaosConfig, ChaosOperator, ChaosSource, CHAOS_PANIC_MARKER};
 pub use checkpoint::{
-    CheckpointBarrier, CheckpointCoordinator, CheckpointFrame, CheckpointStore, ReplayBuffer,
-    StateSnapshot, WatermarkGenState,
+    CheckpointBarrier, CheckpointCoordinator, CheckpointFrame, CheckpointStore, StateSnapshot,
+    WatermarkGenState,
 };
 pub use control::{ControlChannel, ControlSubscriber};
 pub use element::StreamElement;
