@@ -64,8 +64,8 @@ use crate::config::{
 };
 use crate::pipeline::PollutionPipeline;
 use crate::runner::{
-    execute_attempt, execute_streaming, run_supervised_with, BuiltPipeline, CheckpointSettings,
-    ExecSettings, PollutionOutput, SubStreamAssigner,
+    direct_drive_possible, execute_attempt, execute_streaming, run_supervised_with, BuiltPipeline,
+    CheckpointSettings, ExecSettings, PollutionOutput, SubStreamAssigner,
 };
 use icewafl_stream::chaos::ChaosConfig;
 use icewafl_stream::control::ControlChannel;
@@ -452,7 +452,6 @@ impl LogicalPlan {
         let m = self.substreams();
         let strategy = self.strategy.resolve();
         let reprs = self.substream_reprs(schema)?;
-        let stages = predict_stages(m, strategy, chaos.is_some(), &reprs);
         let control = ControlChannel::new();
         let settings = ExecSettings {
             schema: schema.clone(),
@@ -469,6 +468,16 @@ impl LogicalPlan {
                 interval_epochs: c.interval_epochs.max(1),
             }),
         };
+        let all_columnar = reprs
+            .iter()
+            .all(|r| matches!(r, SubstreamRepr::Columnar { .. }));
+        let stages = predict_stages(
+            m,
+            strategy,
+            settings.chaos.is_some(),
+            &reprs,
+            direct_drive_possible(&settings, m, all_columnar),
+        );
         Ok(PhysicalPlan {
             logical: self.clone(),
             settings,
@@ -741,11 +750,16 @@ fn channel_metrics(label: &str) -> Vec<String> {
 /// the source the highest index; the fan-out router is labeled before
 /// its sub-pipelines, and within a sub-pipeline the outermost operator
 /// (the pollution pipeline) is labeled before a spliced chaos injector.
+///
+/// With `direct` set, the plan is eligible for the direct columnar
+/// drive, and its columnar stages say so instead of describing the
+/// per-transport-batch pivot of the channel driver.
 fn predict_stages(
     m: usize,
     strategy: ExecutionStrategy,
     chaos: bool,
     reprs: &[SubstreamRepr],
+    direct: bool,
 ) -> Vec<StageInfo> {
     let mut seq = 0u32;
     let mut label = |name: &str| {
@@ -785,6 +799,10 @@ fn predict_stages(
     for i in 0..m {
         let l = label("pollution_pipeline");
         let repr = match reprs.get(i) {
+            Some(SubstreamRepr::Columnar { stages }) if direct => format!(
+                " [columnar kernels; {stages} stages; direct drive when arrivals are \
+                 non-decreasing: one pivot per sub-stream, merged by (arrival, sub-stream)]"
+            ),
             Some(SubstreamRepr::Columnar { stages }) => format!(
                 " [columnar kernels; {stages} stages; rows→columns→rows per transport batch]"
             ),
@@ -1267,6 +1285,77 @@ mod tests {
             explain.contains("`lag` breaks rule stateless-1to1"),
             "missing rule in: {explain}"
         );
+    }
+
+    #[test]
+    fn explain_names_the_direct_drive_only_where_it_can_run() {
+        let explain = |hint: StrategyHint, m: usize| {
+            let plan = LogicalPlan {
+                strategy: hint,
+                assigner: AssignerSpec::RoundRobin,
+                ..LogicalPlan::new(1, vec![vec![null_spec(0.5)]; m])
+            };
+            plan.compile(&schema()).unwrap().explain()
+        };
+        let direct = "direct drive when arrivals are non-decreasing: one pivot per \
+                      sub-stream, merged by (arrival, sub-stream)";
+        let sequential = explain(StrategyHint::Sequential, 2);
+        assert!(sequential.contains(direct), "{sequential}");
+        assert!(!sequential.contains("rows→columns→rows"), "{sequential}");
+        let pipelined = explain(StrategyHint::Pipelined, 2);
+        assert!(!pipelined.contains(direct), "{pipelined}");
+        assert!(pipelined.contains("rows→columns→rows per transport batch"));
+    }
+
+    #[test]
+    fn explain_and_the_run_agree_on_the_drive() {
+        // A checkpoint section or a deadline keeps a plan off the direct
+        // drive in `--explain` and in both execution entry points alike.
+        let base = LogicalPlan {
+            strategy: StrategyHint::Sequential,
+            assigner: AssignerSpec::RoundRobin,
+            ..LogicalPlan::new(3, vec![vec![null_spec(0.5)]; 2])
+        };
+        let plans = [
+            (base.clone(), true),
+            (
+                LogicalPlan {
+                    checkpoint: Some(CheckpointSectionConfig::default()),
+                    ..base.clone()
+                },
+                false,
+            ),
+            (
+                LogicalPlan {
+                    supervision: Some(SupervisionConfig {
+                        deadline_ms: Some(60_000),
+                        ..SupervisionConfig::default()
+                    }),
+                    ..base.clone()
+                },
+                false,
+            ),
+        ];
+        for (plan, direct) in plans {
+            let physical = plan.compile(&schema()).unwrap();
+            assert_eq!(
+                physical.explain().contains("direct drive when arrivals"),
+                direct,
+                "{}",
+                physical.explain()
+            );
+            for out in [
+                physical.execute(tuples(100)).unwrap(),
+                physical.execute_supervised(tuples(100)).unwrap(),
+            ] {
+                if !out.report.metrics_compiled_in {
+                    return; // obs feature off: nothing to verify against
+                }
+                let drive = if direct { "columnar_direct" } else { "channel" };
+                let counter = format!("drive/{drive}/tuples_in");
+                assert_eq!(out.report.metrics.counter(&counter), 100, "{counter}");
+            }
+        }
     }
 
     #[test]

@@ -61,6 +61,12 @@ pub enum SubStreamAssigner {
 type Selector = Box<dyn FnMut(&StampedTuple, &mut Vec<usize>) + Send>;
 
 impl SubStreamAssigner {
+    /// Whether every tuple lands in exactly one of `m` sub-streams (a
+    /// partition): round-robin always, any assigner when `m = 1`.
+    pub(crate) fn is_partition(&self, m: usize) -> bool {
+        m == 1 || matches!(self, SubStreamAssigner::RoundRobin)
+    }
+
     /// Builds the per-tuple membership selector.
     fn selector(&self, m: usize) -> Selector {
         match self {
@@ -587,6 +593,17 @@ where
     }
     let mut supervisor = Supervisor::new(settings.supervision.clone());
     let budget = settings.chaos.as_ref().map(ChaosConfig::new_budget);
+    // A fail-fast policy makes exactly one attempt: the input moves into
+    // it instead of being cloned for a retry that can never come.
+    if settings.supervision.max_retries == 0 {
+        return execute_attempt(
+            settings,
+            tuples,
+            pipelines()?,
+            budget,
+            supervisor.deadline_instant(),
+        );
+    }
     loop {
         let attempt = execute_attempt(
             settings,
@@ -774,6 +791,9 @@ where
             sink_base: sink.len() as u64,
         };
         let source = VecSource::new(clean[base_offset as usize..].to_vec());
+        registry
+            .counter("drive/channel/tuples_in")
+            .add(clean.len() as u64 - base_offset);
         let attempt = drive_pipelines(
             settings,
             source,
@@ -852,27 +872,53 @@ where
     }
 }
 
-/// Whether a run can take the direct columnar drive instead of the
-/// channel driver. The direct drive processes each sub-stream as one
-/// column batch and reassembles the output by input position, so it is
-/// only byte-identical to the channel driver when
+/// The part of the direct drive's eligibility fixed before the input is
+/// seen, for a run over `m` sub-streams of which `all_columnar` says
+/// whether every one lowered to column kernels. `--explain` and
+/// [`columnar_direct_eligible`] both ask this one rule.
+///
+/// The direct drive processes each sub-stream as one column batch and
+/// merges the outputs by (arrival, sub-stream index), which is
+/// byte-identical to the sequential channel driver — output,
+/// ground-truth log and polluter stats — over non-decreasing arrivals
+/// (derivation in `docs/kernels.md` §6) when
 ///
 /// * every sub-stream lowered to column kernels (value-only polluters:
 ///   exactly one output row per input row, arrival stamps untouched),
-/// * arrivals are strictly increasing (the sorted output is then the
-///   input order, with no ties for the sorter to break),
-/// * nothing observes the element-by-element schedule: no ground-truth
-///   log, no chaos injection, no epoch control channel, no deadline,
+/// * the assigner partitions the input (no tuple joins two
+///   sub-streams, so no duplicate shares an arrival with its twin),
 /// * the strategy is sequential — the pipelined and parallel drivers
-///   exist precisely to put channel boundaries between stages.
+///   exist precisely to put channel boundaries between stages,
+/// * nothing needs the channel driver's element-by-element schedule: no
+///   chaos injection, no epoch-aligned checkpoints, no deadline.
+pub(crate) fn direct_drive_possible(settings: &ExecSettings, m: usize, all_columnar: bool) -> bool {
+    m > 0
+        && all_columnar
+        && settings.assigner.is_partition(m)
+        && matches!(settings.strategy, ExecutionStrategy::Sequential)
+        && settings.chaos.is_none()
+        && settings.checkpoint.is_none()
+        && settings.supervision.deadline.is_none()
+}
+
+/// Whether this run takes the direct columnar drive instead of the
+/// channel driver: [`direct_drive_possible`], plus what only the run
+/// knows — arrivals are non-decreasing (a record then reaches the
+/// channel driver's sorter after a watermark `w` only if its arrival is
+/// at least `w`, so the sorter releases the stable sort by arrival of
+/// what the sequential union feeds it: sub-stream 0's output, then
+/// sub-stream 1's, and so on), no reconfiguration is scheduled, and no
+/// deadline is armed.
 fn columnar_direct_eligible(
     settings: &ExecSettings,
     pipelines: &[BuiltPipeline],
     clean: &[StampedTuple],
     deadline: Option<Instant>,
 ) -> bool {
-    !settings.logging
-        && settings.chaos.is_none()
+    let all_columnar = pipelines
+        .iter()
+        .all(|p| matches!(p, BuiltPipeline::Columnar(_)));
+    direct_drive_possible(settings, pipelines.len(), all_columnar)
         // A control channel with scheduled plans needs the watermark
         // cadence of the channel driver to find its epoch boundary. An
         // empty channel is inert: scheduling against an already-running
@@ -880,60 +926,52 @@ fn columnar_direct_eligible(
         // start is the semantics either driver honors.
         && settings.control.as_ref().is_none_or(ControlChannel::is_empty)
         && deadline.is_none()
-        && matches!(settings.strategy, ExecutionStrategy::Sequential)
-        && !pipelines.is_empty()
-        && pipelines
-            .iter()
-            .all(|p| matches!(p, BuiltPipeline::Columnar(_)))
-        && clean.windows(2).all(|w| w[0].arrival < w[1].arrival)
+        && clean.windows(2).all(|w| w[0].arrival <= w[1].arrival)
 }
 
 /// The direct columnar drive: route every tuple to its sub-stream,
-/// pivot each sub-stream to columns *once*, run the kernels, and
-/// reassemble the merged output by input position.
+/// pivot each sub-stream to columns *once*, run the kernels against the
+/// run's log in sub-stream order, and merge the outputs by (arrival,
+/// sub-stream index).
 ///
-/// Value kernels are 1:1 and preserve arrival stamps, so with strictly
-/// increasing arrivals the sorted merge of the sub-streams is exactly
-/// the input interleaving — no heap, no watermark buffer. Per-component
-/// RNG streams depend only on per-sub-stream row order (identical
-/// here), so output bytes and polluter stats match the channel driver
-/// exactly.
-///
-/// Returns `None` when the assigner turns out to produce overlapping
-/// memberships (broadcast, probabilistic overlap): duplicated tuples
-/// share arrival stamps and their union order is the sorter's tie
-/// order, which only the channel driver reproduces. Bailing out is
-/// side-effect free — no kernel has run at that point.
+/// The sequential channel driver drains its sub-streams back to back,
+/// so its log is the concatenation of the per-sub-stream logs, each in
+/// (row, stage, attribute) order — exactly what this drive records. Its
+/// sorter emits the stable sort by arrival of sub-stream 0's output,
+/// then sub-stream 1's, …; each output keeps its input's non-decreasing
+/// arrivals, so that sort is the merge below. Per-component RNG streams
+/// depend only on per-sub-stream row order (identical here), so polluter
+/// stats match too.
 fn execute_columnar_direct(
     settings: &ExecSettings,
     clean: &[StampedTuple],
     pipelines: &mut [BuiltPipeline],
+    log: &mut PollutionLog,
     registry: &MetricsRegistry,
-) -> Option<Vec<StampedTuple>> {
+) -> Vec<StampedTuple> {
     let m = pipelines.len();
     let mut selector = settings.assigner.selector(m);
-    let mut assignment: Vec<u32> = Vec::with_capacity(clean.len());
     let mut buckets: Vec<Vec<StampedTuple>> = (0..m).map(|_| Vec::new()).collect();
     let mut membership: Vec<usize> = Vec::with_capacity(m);
     for t in clean {
         membership.clear();
         selector(t, &mut membership);
-        let [i] = membership[..] else { return None };
+        let [i] = membership[..] else {
+            unreachable!("eligibility requires a partitioning assigner");
+        };
         let mut routed = t.clone();
         routed.sub_stream = i as u32;
-        assignment.push(i as u32);
         buckets[i].push(routed);
     }
 
-    let mut log = PollutionLog::disabled();
-    let mut outputs: Vec<std::vec::IntoIter<StampedTuple>> = Vec::with_capacity(m);
+    let mut outputs: Vec<Vec<StampedTuple>> = Vec::with_capacity(m);
     for (i, bucket) in buckets.into_iter().enumerate() {
         let rows_in = bucket.len();
         let BuiltPipeline::Columnar(pipeline) = &mut pipelines[i] else {
             unreachable!("eligibility requires all-columnar pipelines");
         };
-        let processed = pipeline.process_rows(bucket, &mut log);
-        pipeline.finish(&mut log);
+        let processed = pipeline.process_rows(bucket, log);
+        pipeline.finish(log);
         assert_eq!(
             processed.len(),
             rows_in,
@@ -950,7 +988,7 @@ fn execute_columnar_direct(
         registry
             .counter(&format!("{label}/elements_out"))
             .add(rows_in as u64);
-        outputs.push(processed.into_iter());
+        outputs.push(processed);
     }
 
     let n = clean.len() as u64;
@@ -960,16 +998,16 @@ fn execute_columnar_direct(
     registry
         .counter("stage/00_event_time_sorter/elements_out")
         .add(n);
+    merge_by_arrival(outputs)
+}
 
-    let mut polluted = Vec::with_capacity(assignment.len());
-    for &s in &assignment {
-        polluted.push(
-            outputs[s as usize]
-                .next()
-                .expect("each routed tuple has exactly one output row"),
-        );
-    }
-    Some(polluted)
+/// Merges sub-stream outputs, each non-decreasing in arrival, into one
+/// stream ordered by (arrival, sub-stream index): the stable sort by
+/// arrival of their concatenation in index order.
+fn merge_by_arrival(outputs: Vec<Vec<StampedTuple>>) -> Vec<StampedTuple> {
+    let mut all: Vec<StampedTuple> = outputs.into_iter().flatten().collect();
+    all.sort_by_key(|t| t.arrival);
+    all
 }
 
 /// One execution attempt — the single construction + execution path
@@ -1020,34 +1058,36 @@ pub(crate) fn execute_attempt(
     }
     let registry = MetricsRegistry::new();
 
-    // Fully-columnar sequential plans with strictly monotone arrivals
-    // take the direct drive: one representation pivot per sub-stream
-    // instead of per transport batch, and no channel/sorter machinery
-    // at all. Falls back to the channel driver whenever the output
-    // could depend on merge order (see `columnar_direct_eligible`).
+    // Fully-columnar sequential plans over non-decreasing arrivals take
+    // the direct drive: one representation pivot per sub-stream instead
+    // of per transport batch, and no channel/sorter machinery at all.
+    // Everything else runs on the channel driver (see
+    // `columnar_direct_eligible`). The drive that ran counts its input
+    // under `drive/<name>/tuples_in`.
     let mut pipelines = pipelines;
-    let direct = if columnar_direct_eligible(settings, &pipelines, &clean, deadline) {
-        execute_columnar_direct(settings, &clean, &mut pipelines, &registry)
+    let polluted = if columnar_direct_eligible(settings, &pipelines, &clean, deadline) {
+        registry
+            .counter("drive/columnar_direct/tuples_in")
+            .add(clean.len() as u64);
+        let mut log = log.lock();
+        execute_columnar_direct(settings, &clean, &mut pipelines, &mut log, &registry)
     } else {
-        None
-    };
-    let polluted = match direct {
-        Some(polluted) => polluted,
-        None => {
-            let sink = SharedVecSink::new();
-            drive_pipelines(
-                settings,
-                VecSource::new(clean.clone()),
-                sink.clone(),
-                pipelines,
-                chaos_budget,
-                deadline,
-                &registry,
-                &log,
-                None,
-            )?;
-            sink.take()
-        }
+        registry
+            .counter("drive/channel/tuples_in")
+            .add(clean.len() as u64);
+        let sink = SharedVecSink::new();
+        drive_pipelines(
+            settings,
+            VecSource::new(clean.clone()),
+            sink.clone(),
+            pipelines,
+            chaos_budget,
+            deadline,
+            &registry,
+            &log,
+            None,
+        )?;
+        sink.take()
     };
 
     let log = Arc::try_unwrap(log)

@@ -66,7 +66,11 @@ impl Error {
     pub fn parse(input: impl fmt::Display, target: &'static str) -> Self {
         let mut s = input.to_string();
         if s.len() > 64 {
-            s.truncate(64);
+            let mut end = 64;
+            while !s.is_char_boundary(end) {
+                end -= 1;
+            }
+            s.truncate(end);
             s.push('…');
         }
         Error::Parse { input: s, target }
@@ -144,6 +148,16 @@ mod tests {
                 assert!(input.len() < 80, "input should be truncated");
                 assert!(input.ends_with('…'));
             }
+            _ => panic!("wrong variant"),
+        }
+    }
+
+    #[test]
+    fn parse_truncates_on_a_char_boundary() {
+        // Byte 64 falls inside the two-byte `é`.
+        let long = format!("{}é{}", "x".repeat(63), "y".repeat(100));
+        match Error::parse(&long, "Str") {
+            Error::Parse { input, .. } => assert_eq!(input, format!("{}…", "x".repeat(63))),
             _ => panic!("wrong variant"),
         }
     }

@@ -303,17 +303,50 @@ impl DateTime {
     }
 }
 
+/// Writes the last `dst.len()` decimal digits of `v`, zero-padded.
+fn put_digits(dst: &mut [u8], mut v: u32) {
+    for d in dst.iter_mut().rev() {
+        *d = b'0' + (v % 10) as u8;
+        v /= 10;
+    }
+}
+
 impl fmt::Display for DateTime {
+    /// `YYYY-MM-DD hh:mm:ss`, plus `.mmm` when the milliseconds are not
+    /// zero. Components that fit their widths (every four-digit year) are
+    /// filled digit by digit into one buffer and written once: the CSV
+    /// writer and the log format a timestamp per record.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{:04}-{:02}-{:02} {:02}:{:02}:{:02}",
-            self.year, self.month, self.day, self.hour, self.minute, self.second
-        )?;
-        if self.milli != 0 {
-            write!(f, ".{:03}", self.milli)?;
+        let fits = (0..=9999).contains(&self.year)
+            && [self.month, self.day, self.hour, self.minute, self.second]
+                .iter()
+                .all(|&v| v < 100)
+            && self.milli < 1000;
+        if !fits {
+            write!(
+                f,
+                "{:04}-{:02}-{:02} {:02}:{:02}:{:02}",
+                self.year, self.month, self.day, self.hour, self.minute, self.second
+            )?;
+            if self.milli != 0 {
+                write!(f, ".{:03}", self.milli)?;
+            }
+            return Ok(());
         }
-        Ok(())
+        let mut b = *b"0000-00-00 00:00:00.000";
+        put_digits(&mut b[0..4], self.year as u32);
+        put_digits(&mut b[5..7], self.month);
+        put_digits(&mut b[8..10], self.day);
+        put_digits(&mut b[11..13], self.hour);
+        put_digits(&mut b[14..16], self.minute);
+        put_digits(&mut b[17..19], self.second);
+        let len = if self.milli == 0 {
+            19
+        } else {
+            put_digits(&mut b[20..23], self.milli);
+            23
+        };
+        f.write_str(std::str::from_utf8(&b[..len]).expect("ASCII digits and separators"))
     }
 }
 
@@ -360,11 +393,45 @@ fn civil_from_days(z: i64) -> (i32, u32, u32) {
     ((y + i64::from(m <= 2)) as i32, m, d)
 }
 
+/// The components of the form every CSV this crate writes uses,
+/// `YYYY-MM-DD HH:MM:SS` (or with a `T` separator), read digit by digit;
+/// `None` for any other shape, which the general parser then handles.
+/// Ranges are left to [`DateTime::to_timestamp`], as on the general
+/// path.
+fn parse_canonical(s: &str) -> Option<DateTime> {
+    let b: &[u8; 19] = s.as_bytes().try_into().ok()?;
+    let shape_ok = b[4] == b'-'
+        && b[7] == b'-'
+        && matches!(b[10], b' ' | b'T')
+        && b[13] == b':'
+        && b[16] == b':';
+    let num = |from: usize, to: usize| -> Option<u32> {
+        b[from..to].iter().try_fold(0u32, |acc, &d| {
+            d.is_ascii_digit().then(|| acc * 10 + u32::from(d - b'0'))
+        })
+    };
+    if !shape_ok {
+        return None;
+    }
+    Some(DateTime {
+        year: num(0, 4)? as i32,
+        month: num(5, 7)?,
+        day: num(8, 10)?,
+        hour: num(11, 13)?,
+        minute: num(14, 16)?,
+        second: num(17, 19)?,
+        milli: 0,
+    })
+}
+
 /// Parses `"YYYY-MM-DD"`, `"YYYY-MM-DD HH:MM"`, `"YYYY-MM-DD HH:MM:SS"` or
 /// `"YYYY-MM-DD HH:MM:SS.mmm"` (a `T` separator is also accepted) into a
 /// [`Timestamp`].
 pub fn parse_timestamp(s: &str) -> Result<Timestamp> {
     let s = s.trim();
+    if let Some(dt) = parse_canonical(s) {
+        return dt.to_timestamp();
+    }
     let bad = || Error::parse(s, "Timestamp");
     let (date, time) = match s.split_once([' ', 'T']) {
         Some((d, t)) => (d, Some(t)),
@@ -411,6 +478,37 @@ pub fn parse_timestamp(s: &str) -> Result<Timestamp> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn canonical_fast_path_agrees_with_the_general_parser() {
+        for text in [
+            "2013-03-01 00:00:00",
+            "2016-02-29T23:59:59",
+            "0001-01-01 00:00:00",
+            "9999-12-31 23:59:59",
+        ] {
+            let fast = parse_canonical(text).expect("canonical shape");
+            let general = parse_timestamp(&format!("{text}.000")).unwrap();
+            assert_eq!(fast.to_timestamp().unwrap(), general, "{text}");
+            assert_eq!(parse_timestamp(text).unwrap(), general, "{text}");
+        }
+        // Same shape, out-of-range fields: rejected like the general
+        // path rejects them.
+        for text in [
+            "2013-13-01 00:00:00",
+            "2015-02-29 00:00:00",
+            "2013-03-01 24:00:00",
+        ] {
+            assert!(parse_timestamp(text).is_err(), "{text}");
+        }
+        // Other shapes fall through to the general parser.
+        assert!(parse_canonical("2013-03-01 00:00").is_none());
+        assert!(parse_canonical("2013-03-01 0a:00:00").is_none());
+        assert_eq!(
+            parse_timestamp("+013-03-01 00:00:00").unwrap(),
+            parse_timestamp("0013-03-01 00:00:00").unwrap()
+        );
+    }
 
     #[test]
     fn epoch_is_zero() {
@@ -552,6 +650,29 @@ mod tests {
         let t = Timestamp::from_ymd_hms(2016, 2, 27, 13, 5, 9).unwrap();
         assert_eq!(t.to_string(), "2016-02-27 13:05:09");
         assert_eq!(parse_timestamp(&t.to_string()).unwrap(), t);
+    }
+
+    #[test]
+    fn display_pads_every_component() {
+        assert_eq!(Timestamp(0).to_string(), "1970-01-01 00:00:00");
+        assert_eq!(Timestamp(-1).to_string(), "1969-12-31 23:59:59.999");
+        assert_eq!(
+            Timestamp(1_456_531_200_123).to_string(),
+            "2016-02-27 00:00:00.123"
+        );
+        let dt = |year, milli| DateTime {
+            year,
+            month: 3,
+            day: 4,
+            hour: 5,
+            minute: 6,
+            second: 7,
+            milli,
+        };
+        assert_eq!(dt(5, 7).to_string(), "0005-03-04 05:06:07.007");
+        // Years outside four digits keep the general formatting.
+        assert_eq!(dt(-1, 0).to_string(), "-001-03-04 05:06:07");
+        assert_eq!(dt(10_000, 40).to_string(), "10000-03-04 05:06:07.040");
     }
 
     #[test]

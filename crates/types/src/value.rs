@@ -153,6 +153,12 @@ impl Value {
         }
     }
 
+    /// Whether `s` is one of the textual NULL spellings [`Value::parse`]
+    /// accepts: the empty string, `NA`, `null`, `NULL` or `NaN`.
+    pub fn is_null_token(s: &str) -> bool {
+        matches!(s, "" | "NA" | "null" | "NULL" | "NaN")
+    }
+
     /// Parses a textual field into a value of the given
     /// [`DataType`](crate::DataType). Empty strings and the literals
     /// `NA`/`null`/`NULL`/`NaN` parse as `Null` (the conventions of the
@@ -160,7 +166,7 @@ impl Value {
     pub fn parse(s: &str, dtype: crate::DataType) -> Result<Value> {
         use crate::DataType;
         let s = s.trim();
-        if s.is_empty() || s == "NA" || s == "null" || s == "NULL" || s == "NaN" {
+        if Value::is_null_token(s) {
             return Ok(Value::Null);
         }
         match dtype {

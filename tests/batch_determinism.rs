@@ -295,30 +295,177 @@ fn columnar_output_is_byte_identical_to_row() {
     }
 }
 
+/// Which offline drive ran, read from the `drive/<name>/tuples_in`
+/// counter the runner registers for it; `None` with metrics compiled
+/// out. A direct-drive run must also register no `split_router`
+/// metric, so a silent fallback to the channel driver cannot pass.
+fn drive_of(out: &PollutionOutput) -> Option<&'static str> {
+    if !out.report.metrics_compiled_in {
+        return None;
+    }
+    let counters = &out.report.metrics.counters;
+    let routed = counters.keys().any(|k| k.contains("split_router"));
+    match (
+        counters.contains_key("drive/columnar_direct/tuples_in"),
+        counters.contains_key("drive/channel/tuples_in"),
+    ) {
+        (true, false) if !routed => Some("columnar_direct"),
+        (false, true) if routed => Some("channel"),
+        other => panic!("inconsistent drive counters {other:?}, split_router metrics: {routed}"),
+    }
+}
+
+/// Asserts the drive that ran, when metrics can tell.
+fn assert_drive(out: &PollutionOutput, expected: &str, what: &str) {
+    if let Some(drive) = drive_of(out) {
+        assert_eq!(drive, expected, "wrong drive for {what}");
+    }
+}
+
 #[test]
 fn direct_columnar_drive_matches_the_channel_paths() {
-    // With logging off, a sequential all-columnar plan takes the direct
-    // drive (bucket → pivot once → kernels → scatter, no channels or
-    // sorter heap). Its output must match both the row channel path and
-    // the columnar channel path (logging on forces the latter).
-    let run_with = |repr: ReprHint, logging: bool, batch_size: usize| {
-        let mut plan = repr_plan(StrategyHint::Sequential, batch_size, repr);
+    // A sequential all-columnar plan takes the direct drive (bucket →
+    // pivot once → kernels → merge by arrival, no channels or sorter
+    // heap) with the log off and on. Its output and log must match
+    // both the row channel path and a real columnar channel run: the
+    // pipelined strategy keeps the channel driver.
+    let run_with = |strategy: StrategyHint, repr: ReprHint, logging: bool, batch_size: usize| {
+        let mut plan = repr_plan(strategy, batch_size, repr);
         plan.logging = logging;
         run(&plan, 500)
     };
-    for batch_size in [64usize, 4096] {
-        let row = run_with(ReprHint::Row, false, batch_size);
-        let direct = run_with(ReprHint::Columnar, false, batch_size);
-        let channel = run_with(ReprHint::Columnar, true, batch_size);
-        assert_eq!(
-            direct.polluted, row.polluted,
-            "direct columnar drive diverged from row (batch {batch_size})"
-        );
-        assert_eq!(direct.clean, row.clean);
-        assert_eq!(
-            direct.polluted, channel.polluted,
-            "direct drive diverged from channel columnar (batch {batch_size})"
-        );
+    for logging in [false, true] {
+        for batch_size in [64usize, 4096] {
+            let what = format!("logging {logging}, batch {batch_size}");
+            let row = run_with(StrategyHint::Sequential, ReprHint::Row, logging, batch_size);
+            let direct = run_with(
+                StrategyHint::Sequential,
+                ReprHint::Columnar,
+                logging,
+                batch_size,
+            );
+            let channel = run_with(
+                StrategyHint::Pipelined,
+                ReprHint::Columnar,
+                logging,
+                batch_size,
+            );
+            assert_drive(&row, "channel", &what);
+            assert_drive(&direct, "columnar_direct", &what);
+            assert_drive(&channel, "channel", &what);
+            assert_eq!(
+                direct.polluted, row.polluted,
+                "direct columnar drive diverged from row ({what})"
+            );
+            assert_eq!(direct.clean, row.clean);
+            assert_eq!(
+                direct.polluted, channel.polluted,
+                "direct drive diverged from channel columnar ({what})"
+            );
+            assert_eq!(direct.log.entries(), row.log.entries(), "log ({what})");
+            assert_eq!(direct.log.entries(), channel.log.entries(), "log ({what})");
+            assert_eq!(!direct.log.is_empty(), logging);
+        }
+    }
+}
+
+/// Twelve series interleaved on one clock: every timestamp is shared by
+/// twelve consecutive tuples, so the channel driver's sorter breaks a
+/// tie on every release and the direct drive's merge does too. With
+/// `swap_at = Some(i)` tuple `i` trades places with the tuple a whole
+/// tick later, so arrivals are no longer non-decreasing.
+fn tied_tuples(ticks: i64, swap_at: Option<usize>) -> Vec<Tuple> {
+    let mut out: Vec<Tuple> = (0..ticks)
+        .flat_map(|t| {
+            (0..12).map(move |s| {
+                Tuple::new(vec![
+                    Value::Timestamp(Timestamp(t * 60_000)),
+                    Value::Float((s * 1000 + t) as f64),
+                ])
+            })
+        })
+        .collect();
+    if let Some(i) = swap_at {
+        out.swap(i, i + 12);
+    }
+    out
+}
+
+#[test]
+fn tied_arrivals_take_the_direct_drive_byte_identically() {
+    // The paper-scale shape: interleaved stations tie on every
+    // timestamp, the log is on (the CLI default), and the plan is
+    // value-only. Under the sequential strategy the columnar plan takes
+    // the direct drive; under the pipelined one it keeps the channel
+    // driver. Either way it must equal the row channel run byte for
+    // byte: polluted stream, clean stream and ground-truth log.
+    let input = tied_tuples(60, None);
+    for m in [3usize, 5] {
+        for strategy in [StrategyHint::Sequential, StrategyHint::Pipelined] {
+            for batch_size in BATCH_SIZES {
+                let run_with = |repr: ReprHint| {
+                    let mut plan = repr_plan(strategy, batch_size, repr);
+                    plan.pipelines.truncate(1);
+                    let first = plan.pipelines[0].clone();
+                    plan.pipelines = (0..m)
+                        .map(|i| {
+                            first
+                                .iter()
+                                .map(|p| {
+                                    let mut p = p.clone();
+                                    if let PolluterConfig::Standard { name, .. } = &mut p {
+                                        *name = format!("{name}-{i}");
+                                    }
+                                    p
+                                })
+                                .collect()
+                        })
+                        .collect();
+                    assert!(plan.logging, "the log is on by default");
+                    plan.compile(&schema())
+                        .expect("plan compiles")
+                        .execute(input.clone())
+                        .expect("run succeeds")
+                };
+                let what = format!("{m} sub-streams, {strategy:?}, batch {batch_size}");
+                let row = run_with(ReprHint::Row);
+                let col = run_with(ReprHint::Columnar);
+                let expected = match strategy {
+                    StrategyHint::Sequential => "columnar_direct",
+                    _ => "channel",
+                };
+                assert_drive(&col, expected, &what);
+                assert!(row.log.len() > 100, "the plan pollutes ({what})");
+                assert_eq!(col.polluted, row.polluted, "polluted stream ({what})");
+                assert_eq!(col.clean, row.clean, "clean stream ({what})");
+                assert_eq!(col.log.entries(), row.log.entries(), "log ({what})");
+            }
+        }
+    }
+}
+
+#[test]
+fn out_of_order_arrivals_fall_back_to_the_channel_driver() {
+    // One tuple a tick early breaks non-decreasing arrivals: the
+    // sorter's watermark releases then decide the order, which only the
+    // channel driver reproduces. The columnar plan must fall back and
+    // still equal the row run.
+    let input = tied_tuples(40, Some(100));
+    for batch_size in BATCH_SIZES {
+        let run_with = |repr: ReprHint| {
+            repr_plan(StrategyHint::Sequential, batch_size, repr)
+                .compile(&schema())
+                .expect("plan compiles")
+                .execute(input.clone())
+                .expect("run succeeds")
+        };
+        let what = format!("batch {batch_size}");
+        let row = run_with(ReprHint::Row);
+        let col = run_with(ReprHint::Columnar);
+        assert_drive(&col, "channel", &what);
+        assert_eq!(col.polluted, row.polluted, "polluted stream ({what})");
+        assert_eq!(col.clean, row.clean, "clean stream ({what})");
+        assert_eq!(col.log.entries(), row.log.entries(), "log ({what})");
     }
 }
 
