@@ -17,9 +17,12 @@
 //! The `columnar`, `sequential_logged` and `columnar_logged` groups run
 //! the sequential workload at the columnar batch sizes: on columns with
 //! the ground-truth log off, then on rows and on columns with it on (as
-//! the CLI runs). The two logged groups interleave their reps, and in
-//! `--relative` mode their best-vs-best ratio is gated against
-//! `LOGGED_COLUMNAR_SPEEDUP_FLOOR`.
+//! the CLI runs). The two logged groups interleave their reps. Every
+//! columnar run must have lowered all its stages and taken the direct
+//! drive, or the harness fails: a silent fall-back would measure the
+//! wrong path. In `--relative` mode the best sequential configuration
+//! (the direct drive) over the best pipelined one (the channel driver)
+//! is gated against `DIRECT_CHANNEL_SPEEDUP_FLOOR`.
 //!
 //! Every run also measures the per-kernel-family microbench: each
 //! vectorized kernel family runs on a single-stage pipeline in two
@@ -35,8 +38,9 @@
 //! wire format. Serve numbers land under a separate `serve` key in the
 //! JSON — absolute network rates are machine-dependent and stay outside
 //! the `results` array the `--check` gate iterates — but in `--relative`
-//! mode the binary serve / offline sequential *ratio* from the same run
-//! is gated against a floor (see `SERVE_BINARY_RATIO_FLOOR`).
+//! mode the binary serve / offline *ratio* from the same run, against an
+//! offline run of the plan the sessions run, is gated against a floor
+//! (see `SERVE_BINARY_RATIO_FLOOR`).
 //!
 //! Every run also measures checkpointed recovery: a chaos kill halfway
 //! through the pipelined workload, restored from the latest
@@ -60,7 +64,10 @@ use icewafl_core::columnar::lower_pipeline;
 use icewafl_core::condition::CmpOp;
 use icewafl_core::config::{ConditionConfig, ErrorConfig, PolluterConfig};
 use icewafl_core::log::PollutionLog;
-use icewafl_core::plan::{AssignerSpec, LogicalPlan, ReprHint, StrategyHint};
+use icewafl_core::plan::{
+    AssignerSpec, LogicalPlan, PhysicalPlan, ReprHint, StrategyHint, SubstreamRepr,
+};
+use icewafl_core::runner::PollutionOutput;
 use icewafl_types::{DataType, Schema, StampedTuple, Timestamp, Tuple, Value};
 
 /// Pipeline length ℓ of the reference workload.
@@ -72,6 +79,10 @@ const BATCH_SIZES: [usize; 3] = [1, 64, 256];
 /// Batch sizes swept by the columnar group. Starts at 64 — a columnar
 /// kernel over a 1-tuple batch only measures conversion overhead.
 const COLUMNAR_BATCH_SIZES: [usize; 3] = [64, 256, 4096];
+/// Strategy and batch size of the plan the serve sessions run; the
+/// `--relative` gate divides served throughput by the offline run of
+/// this same plan.
+const SERVE_PLAN: (StrategyHint, usize) = (StrategyHint::Pipelined, 64);
 
 fn schema() -> Schema {
     Schema::from_pairs([("Time", DataType::Timestamp), ("x", DataType::Float)]).unwrap()
@@ -177,6 +188,9 @@ fn measure_interleaved(scenarios: &[Scenario], n: i64, reps: u32) -> Vec<Measure
             // One warm-up run outside the timed loop.
             let warm = physical.execute(data.clone()).expect("warm-up succeeds");
             assert_eq!(warm.polluted.len(), n as usize, "workload is lossless");
+            if s.repr == ReprHint::Columnar {
+                assert_columnar_direct(&physical, &warm, n);
+            }
             physical
         })
         .collect();
@@ -195,12 +209,7 @@ fn measure_interleaved(scenarios: &[Scenario], n: i64, reps: u32) -> Vec<Measure
         .iter()
         .zip(best)
         .map(|(s, best)| {
-            let strategy_name = s.group.unwrap_or(match s.strategy {
-                StrategyHint::Sequential => "sequential",
-                StrategyHint::Pipelined => "pipelined",
-                StrategyHint::SplitMergeParallel => "split_merge_parallel",
-                _ => "other",
-            });
+            let strategy_name = s.group.unwrap_or(strategy_name(s.strategy));
             Measurement {
                 name: format!("{strategy_name}/batch_{}", s.batch_size),
                 strategy: strategy_name.to_string(),
@@ -210,6 +219,45 @@ fn measure_interleaved(scenarios: &[Scenario], n: i64, reps: u32) -> Vec<Measure
             }
         })
         .collect()
+}
+
+/// What a columnar scenario measures only if it holds: every stage of
+/// every sub-stream lowered to column kernels, and the run took the
+/// direct drive (one pivot per sub-stream, no channels). A silent
+/// fall-back to rows or to the channel driver would measure the wrong
+/// path, so it fails the harness outright, whatever the machine.
+fn assert_columnar_direct(physical: &PhysicalPlan, out: &PollutionOutput, n: i64) {
+    let lowered: usize = physical
+        .substream_reprs()
+        .iter()
+        .map(|r| match r {
+            SubstreamRepr::Columnar { stages } => *stages,
+            SubstreamRepr::Row { .. } => 0,
+        })
+        .sum();
+    assert_eq!(
+        lowered,
+        PIPELINE_LEN * SUB_STREAMS,
+        "every stage lowers to column kernels ({})",
+        physical.repr_summary()
+    );
+    if out.report.metrics_compiled_in {
+        assert_eq!(
+            out.report.metrics.counter("drive/direct/tuples_in"),
+            n as u64,
+            "the columnar run takes the direct drive"
+        );
+    }
+}
+
+/// The result group a strategy's own configurations are filed under.
+fn strategy_name(strategy: StrategyHint) -> &'static str {
+    match strategy {
+        StrategyHint::Sequential => "sequential",
+        StrategyHint::Pipelined => "pipelined",
+        StrategyHint::SplitMergeParallel => "split_merge_parallel",
+        _ => "other",
+    }
 }
 
 /// The logged groups compare like with like only if both
@@ -484,7 +532,7 @@ fn measure_serve(n: i64, sessions: usize, format: &str) -> Measurement {
     let accept_loop = std::thread::spawn(move || runner.run());
 
     let handshake = Handshake {
-        plan_inline: Some(plan(StrategyHint::Pipelined, 64)),
+        plan_inline: Some(plan(SERVE_PLAN.0, SERVE_PLAN.1)),
         schema_inline: Some(schema()),
         format: Some(format.to_string()),
         ..Handshake::default()
@@ -517,7 +565,7 @@ fn measure_serve(n: i64, sessions: usize, format: &str) -> Measurement {
     Measurement {
         name: format!("serve/{format}_x{sessions}"),
         strategy: format!("serve_{format}"),
-        batch_size: 64,
+        batch_size: SERVE_PLAN.1,
         tuples_per_sec: (sessions as i64 * n) as f64 / elapsed,
         best_ms: elapsed * 1e3,
     }
@@ -659,35 +707,29 @@ fn render(
 }
 
 /// Name of the configuration used as the normalization reference in
-/// `--relative` mode: no channel edges, no batching, so its throughput
-/// tracks raw machine speed.
+/// `--relative` mode: the direct drive over rows, no channel edges, no
+/// batching, so its throughput tracks raw machine speed.
 const REFERENCE_CONFIG: &str = "sequential/batch_1";
 
-/// Minimum columnar-over-row sequential speedup the `--relative` gate
-/// accepts, measured against [`REFERENCE_CONFIG`]. Both sides run on
-/// the same machine in the same process, so unlike absolute tuples/sec
-/// this ratio is stable across hardware. The floor sits well under the
-/// ~2.2–2.6x this workload measures because its job is to catch a
-/// silent fall-back to the row path (ratio ~1.0), not to pin the exact
-/// speedup — the gaussian-noise kernels are compute-heavy enough that
-/// Amdahl caps the transport win, and machine noise must not flake CI.
-const COLUMNAR_SPEEDUP_FLOOR: f64 = 1.5;
+/// Minimum direct-drive over channel-driver speedup the `--relative`
+/// gate accepts: the best `sequential/*` configuration (the direct
+/// drive) against the best `pipelined/*` one (the channel driver), both
+/// row plans with the log off, from this run. The two differ only in
+/// the drive, so the ratio is hardware-independent. On a 2-core x86
+/// container it measured 1.9–3.0x over ten runs; when sequential
+/// plans ran on the channel driver it was ~1.1x (1.73M vs 1.61M
+/// tuples/s in the previous baseline). The floor sits between, so it
+/// fails if sequential plans stop taking the direct drive, and far
+/// enough under the measured ratio that scheduler noise cannot flake
+/// CI.
+const DIRECT_CHANNEL_SPEEDUP_FLOOR: f64 = 1.5;
 
-/// Minimum logged-columnar over logged-row speedup the `--relative`
-/// gate accepts: the best `columnar_logged/*` configuration against the
-/// best `sequential_logged/*` one, both from this run. The log is on,
-/// as in the CLI's default run, so this is the ratio users see. On a
-/// 2-core x86 container the direct drive measures 1.3–1.8x here and
-/// the channel driver it replaced 0.85–1.0x; the floor sits between,
-/// so it fails if logged columnar plans stop taking the direct drive.
-/// Building the log entries (two `String` clones each) keeps the ratio
-/// well under the unlogged one.
-const LOGGED_COLUMNAR_SPEEDUP_FLOOR: f64 = 1.15;
-
-/// Minimum binary-serve over offline-sequential throughput ratio the
-/// `--relative` gate accepts when this run measured serve (`--serve`).
-/// Both sides run on the same machine in the same process, so the ratio
-/// is hardware-independent; the floor guards the event-driven serving
+/// Minimum binary-serve over offline throughput ratio the `--relative`
+/// gate accepts when this run measured serve (`--serve`). The offline
+/// side is the run of the plan the sessions run ([`SERVE_PLAN`]), from
+/// this run, so the ratio prices the network path and not a difference
+/// in plans; both run on the same machine in the same process, so it
+/// is hardware-independent. The floor guards the event-driven serving
 /// path against regressing back toward the ~0.3x the thread-per-session
 /// server measured, while staying far enough under the measured ratio
 /// that scheduler noise cannot flake CI.
@@ -707,8 +749,9 @@ const KERNEL_SPEEDUP_FLOOR: f64 = 1.3;
 /// the names of configurations that regressed beyond `tolerance`. In
 /// relative mode both sides are divided by their own
 /// [`REFERENCE_CONFIG`] throughput first, comparing speedup ratios
-/// instead of machine-dependent absolute rates — and, when this run
-/// measured serve, the binary serve/offline ratio is gated against
+/// instead of machine-dependent absolute rates — and the same-run ratios
+/// are gated against [`DIRECT_CHANNEL_SPEEDUP_FLOOR`],
+/// [`KERNEL_SPEEDUP_FLOOR`] and, when this run measured serve,
 /// [`SERVE_BINARY_RATIO_FLOOR`].
 fn check(
     baseline_json: &str,
@@ -769,10 +812,6 @@ fn check(
         }
     }
     if relative {
-        // The columnar/row speedup ratio is the headline number of the
-        // columnar rollout; gate it directly so a silent fall-back to
-        // the row path (ratio ~1.0) fails CI even when every absolute
-        // configuration stays inside tolerance.
         let best_tps = |group: &str| {
             results
                 .iter()
@@ -780,40 +819,26 @@ fn check(
                 .map(|m| m.tuples_per_sec)
                 .fold(f64::NAN, f64::max)
         };
-        let columnar = best_tps("columnar");
-        let logged_ratio = best_tps("columnar_logged") / best_tps("sequential_logged");
-        if logged_ratio.is_finite() {
+        // The direct drive's win over the channel driver: the same row
+        // plans, the drive the only difference. A sequential plan that
+        // silently falls back to the channel driver brings it to ~1.1x.
+        let direct_ratio = best_tps("sequential") / best_tps("pipelined");
+        if direct_ratio.is_finite() {
             eprintln!(
-                "logged columnar/row sequential speedup: {logged_ratio:.2}x \
-                 (floor {LOGGED_COLUMNAR_SPEEDUP_FLOOR:.2}x)"
+                "direct/channel drive speedup: {direct_ratio:.2}x \
+                 (floor {DIRECT_CHANNEL_SPEEDUP_FLOOR:.1}x)"
             );
-            if logged_ratio < LOGGED_COLUMNAR_SPEEDUP_FLOOR {
+            if direct_ratio < DIRECT_CHANNEL_SPEEDUP_FLOOR {
                 regressions.push(format!(
-                    "logged columnar/row speedup: {logged_ratio:.2}x < floor \
-                     {LOGGED_COLUMNAR_SPEEDUP_FLOOR:.2}x"
+                    "direct/channel speedup: {direct_ratio:.2}x < floor \
+                     {DIRECT_CHANNEL_SPEEDUP_FLOOR:.1}x"
                 ));
             }
         }
-        let row = results
-            .iter()
-            .find(|m| m.name == REFERENCE_CONFIG)
-            .map(|m| m.tuples_per_sec)
-            .unwrap_or(f64::NAN);
-        let ratio = columnar / row;
-        if ratio.is_finite() {
-            eprintln!(
-                "columnar/row sequential speedup: {ratio:.2}x (floor {COLUMNAR_SPEEDUP_FLOOR:.1}x)"
-            );
-            if ratio < COLUMNAR_SPEEDUP_FLOOR {
-                regressions.push(format!(
-                    "columnar/row speedup: {ratio:.2}x < floor {COLUMNAR_SPEEDUP_FLOOR:.1}x"
-                ));
-            }
-        }
-        // The kernel-level win is this rollout's second gated ratio:
-        // the batch-size sweep above can stay healthy on transport
-        // savings alone even if every kernel quietly falls back to the
-        // tuple-at-a-time path, so gate the inner loops directly.
+        // The kernel-level win gets its own gate: the sweeps above can
+        // stay healthy on transport savings alone even if every kernel
+        // quietly falls back to the tuple-at-a-time path, so gate the
+        // inner loops directly.
         let geomean = kernel_speedup_geomean(kernels);
         if geomean.is_finite() {
             eprintln!(
@@ -826,21 +851,27 @@ fn check(
                 ));
             }
         }
-        // The serve/offline gap is ROADMAP item 1's headline number:
-        // gate the best binary serve configuration against the offline
-        // sequential reference from the same run, so the event-driven
-        // server cannot silently regress toward thread-per-session
-        // territory. Only active when this run measured serve.
+        // The serve/offline gap: gate the best binary serve
+        // configuration against the offline run of the same plan from
+        // this run, so the event-driven server cannot silently regress
+        // toward thread-per-session territory. Only active when this
+        // run measured serve.
         let serve_binary = serve
             .iter()
             .filter(|m| m.strategy == "serve_binary")
             .map(|m| m.tuples_per_sec)
             .fold(f64::NAN, f64::max);
-        let serve_ratio = serve_binary / row;
+        let offline = results
+            .iter()
+            .find(|m| m.name == serve_offline_config())
+            .map(|m| m.tuples_per_sec)
+            .unwrap_or(f64::NAN);
+        let serve_ratio = serve_binary / offline;
         if serve_ratio.is_finite() {
             eprintln!(
-                "binary serve / offline sequential: {serve_ratio:.2}x \
-                 (floor {SERVE_BINARY_RATIO_FLOOR:.1}x)"
+                "binary serve / offline {}: {serve_ratio:.2}x \
+                 (floor {SERVE_BINARY_RATIO_FLOOR:.1}x)",
+                serve_offline_config()
             );
             if serve_ratio < SERVE_BINARY_RATIO_FLOOR {
                 regressions.push(format!(
@@ -851,6 +882,11 @@ fn check(
         }
     }
     regressions
+}
+
+/// The `results` name of the offline run of [`SERVE_PLAN`].
+fn serve_offline_config() -> String {
+    format!("{}/batch_{}", strategy_name(SERVE_PLAN.0), SERVE_PLAN.1)
 }
 
 fn arg_value(args: &[String], flag: &str) -> Option<String> {

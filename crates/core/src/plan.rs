@@ -468,15 +468,12 @@ impl LogicalPlan {
                 interval_epochs: c.interval_epochs.max(1),
             }),
         };
-        let all_columnar = reprs
-            .iter()
-            .all(|r| matches!(r, SubstreamRepr::Columnar { .. }));
         let stages = predict_stages(
             m,
             strategy,
             settings.chaos.is_some(),
             &reprs,
-            direct_drive_possible(&settings, m, all_columnar),
+            direct_drive_possible(&settings, m),
         );
         Ok(PhysicalPlan {
             logical: self.clone(),
@@ -751,9 +748,9 @@ fn channel_metrics(label: &str) -> Vec<String> {
 /// its sub-pipelines, and within a sub-pipeline the outermost operator
 /// (the pollution pipeline) is labeled before a spliced chaos injector.
 ///
-/// With `direct` set, the plan is eligible for the direct columnar
-/// drive, and its columnar stages say so instead of describing the
-/// per-transport-batch pivot of the channel driver.
+/// With `direct` set, the plan is eligible for the direct drive, and
+/// its sub-stream stages say how that drive runs them instead of
+/// describing the channel driver's transport batches.
 fn predict_stages(
     m: usize,
     strategy: ExecutionStrategy,
@@ -779,7 +776,11 @@ fn predict_stages(
             );
             v
         },
-        role: "sort by arrival time (Algorithm 1, line 11)".into(),
+        role: if direct {
+            "sort by arrival time (Algorithm 1, line 11); the direct drive merges instead".into()
+        } else {
+            "sort by arrival time (Algorithm 1, line 11)".into()
+        },
         label: l,
     });
     if let ExecutionStrategy::Pipelined { capacity } = strategy {
@@ -793,18 +794,30 @@ fn predict_stages(
     let l = label("split_router");
     stages.push(StageInfo {
         metrics: channel_metrics(&l),
-        role: format!("fan out into {m} sub-stream(s); broadcasts watermarks (epoch barrier)"),
+        role: format!(
+            "fan out into {m} sub-stream(s); broadcasts watermarks (epoch barrier){}",
+            if direct {
+                "; the direct drive routes in memory instead"
+            } else {
+                ""
+            }
+        ),
         label: l,
     });
+    const DIRECT: &str = "direct drive when arrivals are non-decreasing";
+    const MERGE: &str = "merged by (arrival, sub-stream)";
     for i in 0..m {
         let l = label("pollution_pipeline");
         let repr = match reprs.get(i) {
             Some(SubstreamRepr::Columnar { stages }) if direct => format!(
-                " [columnar kernels; {stages} stages; direct drive when arrivals are \
-                 non-decreasing: one pivot per sub-stream, merged by (arrival, sub-stream)]"
+                " [columnar kernels; {stages} stages; {DIRECT}: one pivot per sub-stream, {MERGE}]"
             ),
             Some(SubstreamRepr::Columnar { stages }) => format!(
                 " [columnar kernels; {stages} stages; rows→columns→rows per transport batch]"
+            ),
+            Some(SubstreamRepr::Row { reason }) if direct => format!(
+                " [rows; {reason}; {DIRECT}: tuple by tuple, the source's watermarks at \
+                 their input positions, {MERGE}]"
             ),
             Some(SubstreamRepr::Row { reason }) => format!(" [row batches; {reason}]"),
             None => String::new(),
@@ -1287,55 +1300,87 @@ mod tests {
         );
     }
 
+    /// A delay polluter: never lowers, so its sub-stream runs on rows.
+    fn delay_spec() -> PolluterConfig {
+        PolluterConfig::Delay {
+            name: "lag".into(),
+            condition: ConditionConfig::Probability { p: 0.2 },
+            delay_ms: 120_000,
+        }
+    }
+
     #[test]
     fn explain_names_the_direct_drive_only_where_it_can_run() {
-        let explain = |hint: StrategyHint, m: usize| {
+        let explain = |hint: StrategyHint, assigner: AssignerSpec, spec: PolluterConfig| {
             let plan = LogicalPlan {
                 strategy: hint,
-                assigner: AssignerSpec::RoundRobin,
-                ..LogicalPlan::new(1, vec![vec![null_spec(0.5)]; m])
+                assigner,
+                ..LogicalPlan::new(1, vec![vec![spec]; 2])
             };
             plan.compile(&schema()).unwrap().explain()
         };
-        let direct = "direct drive when arrivals are non-decreasing: one pivot per \
-                      sub-stream, merged by (arrival, sub-stream)";
-        let sequential = explain(StrategyHint::Sequential, 2);
-        assert!(sequential.contains(direct), "{sequential}");
-        assert!(!sequential.contains("rows→columns→rows"), "{sequential}");
-        let pipelined = explain(StrategyHint::Pipelined, 2);
-        assert!(!pipelined.contains(direct), "{pipelined}");
-        assert!(pipelined.contains("rows→columns→rows per transport batch"));
+        let columnar = "direct drive when arrivals are non-decreasing: one pivot per \
+                        sub-stream, merged by (arrival, sub-stream)";
+        let rows = "direct drive when arrivals are non-decreasing: tuple by tuple, the \
+                    source's watermarks at their input positions, merged by (arrival, \
+                    sub-stream)";
+        for assigner in [AssignerSpec::RoundRobin, AssignerSpec::Broadcast] {
+            let sequential = explain(StrategyHint::Sequential, assigner, null_spec(0.5));
+            assert!(sequential.contains(columnar), "{sequential}");
+            assert!(!sequential.contains("rows→columns→rows"), "{sequential}");
+            let temporal = explain(StrategyHint::Sequential, assigner, delay_spec());
+            assert!(temporal.contains(rows), "{temporal}");
+            assert!(!temporal.contains("[row batches;"), "{temporal}");
+            let pipelined = explain(StrategyHint::Pipelined, assigner, null_spec(0.5));
+            assert!(!pipelined.contains("direct drive"), "{pipelined}");
+            assert!(pipelined.contains("rows→columns→rows per transport batch"));
+            let temporal = explain(StrategyHint::Pipelined, assigner, delay_spec());
+            assert!(!temporal.contains("direct drive"), "{temporal}");
+            assert!(
+                temporal.contains("[row batches; `lag` breaks rule"),
+                "{temporal}"
+            );
+        }
     }
 
     #[test]
     fn explain_and_the_run_agree_on_the_drive() {
-        // A checkpoint section or a deadline keeps a plan off the direct
-        // drive in `--explain` and in both execution entry points alike.
-        let base = LogicalPlan {
+        // Columnar and temporal (row) plans, partitioned and broadcast,
+        // take the direct drive; a checkpoint section or a deadline
+        // keeps a plan off it, in `--explain` and in both execution
+        // entry points alike.
+        let base = |assigner: AssignerSpec, spec: PolluterConfig| LogicalPlan {
             strategy: StrategyHint::Sequential,
-            assigner: AssignerSpec::RoundRobin,
-            ..LogicalPlan::new(3, vec![vec![null_spec(0.5)]; 2])
+            assigner,
+            ..LogicalPlan::new(3, vec![vec![spec]; 2])
         };
-        let plans = [
-            (base.clone(), true),
-            (
+        let mut plans = Vec::new();
+        for (assigner, spec) in [
+            (AssignerSpec::RoundRobin, null_spec(0.5)),
+            (AssignerSpec::RoundRobin, delay_spec()),
+            (AssignerSpec::Broadcast, null_spec(0.5)),
+            (AssignerSpec::Broadcast, delay_spec()),
+        ] {
+            let base = base(assigner, spec);
+            plans.push((base.clone(), true));
+            plans.push((
                 LogicalPlan {
                     checkpoint: Some(CheckpointSectionConfig::default()),
                     ..base.clone()
                 },
                 false,
-            ),
-            (
+            ));
+            plans.push((
                 LogicalPlan {
                     supervision: Some(SupervisionConfig {
                         deadline_ms: Some(60_000),
                         ..SupervisionConfig::default()
                     }),
-                    ..base.clone()
+                    ..base
                 },
                 false,
-            ),
-        ];
+            ));
+        }
         for (plan, direct) in plans {
             let physical = plan.compile(&schema()).unwrap();
             assert_eq!(
@@ -1351,7 +1396,7 @@ mod tests {
                 if !out.report.metrics_compiled_in {
                     return; // obs feature off: nothing to verify against
                 }
-                let drive = if direct { "columnar_direct" } else { "channel" };
+                let drive = if direct { "direct" } else { "channel" };
                 let counter = format!("drive/{drive}/tuples_in");
                 assert_eq!(out.report.metrics.counter(&counter), 100, "{counter}");
             }

@@ -20,7 +20,7 @@ use icewafl_stream::checkpoint::{
     CheckpointBarrier, CheckpointCoordinator, CheckpointStore, StateSnapshot, WatermarkGenState,
 };
 use icewafl_stream::control::{ControlChannel, ControlSubscriber};
-use icewafl_stream::metrics::ChaosMetrics;
+use icewafl_stream::metrics::{ChaosMetrics, StageMetrics, SAMPLE_MASK};
 use icewafl_stream::prelude::*;
 use icewafl_stream::sort::{EventTimeSorter, SorterStateCodec};
 use icewafl_stream::supervisor::{Supervisor, SupervisorPolicy};
@@ -61,12 +61,6 @@ pub enum SubStreamAssigner {
 type Selector = Box<dyn FnMut(&StampedTuple, &mut Vec<usize>) + Send>;
 
 impl SubStreamAssigner {
-    /// Whether every tuple lands in exactly one of `m` sub-streams (a
-    /// partition): round-robin always, any assigner when `m = 1`.
-    pub(crate) fn is_partition(&self, m: usize) -> bool {
-        m == 1 || matches!(self, SubStreamAssigner::RoundRobin)
-    }
-
     /// Builds the per-tuple membership selector.
     fn selector(&self, m: usize) -> Selector {
         match self {
@@ -873,52 +867,40 @@ where
 }
 
 /// The part of the direct drive's eligibility fixed before the input is
-/// seen, for a run over `m` sub-streams of which `all_columnar` says
-/// whether every one lowered to column kernels. `--explain` and
-/// [`columnar_direct_eligible`] both ask this one rule.
+/// seen, for a run over `m` sub-streams. `--explain` and
+/// [`direct_eligible`] both ask this one rule.
 ///
-/// The direct drive processes each sub-stream as one column batch and
-/// merges the outputs by (arrival, sub-stream index), which is
-/// byte-identical to the sequential channel driver — output,
-/// ground-truth log and polluter stats — over non-decreasing arrivals
-/// (derivation in `docs/kernels.md` §6) when
+/// The direct drive ([`execute_direct`]) is byte-identical to the
+/// sequential channel driver — output, ground-truth log and polluter
+/// stats — over non-decreasing arrivals (derivation in
+/// `docs/kernels.md` §6), whatever its sub-streams' representations and
+/// however the assigner overlaps them, when
 ///
-/// * every sub-stream lowered to column kernels (value-only polluters:
-///   exactly one output row per input row, arrival stamps untouched),
-/// * the assigner partitions the input (no tuple joins two
-///   sub-streams, so no duplicate shares an arrival with its twin),
 /// * the strategy is sequential — the pipelined and parallel drivers
 ///   exist precisely to put channel boundaries between stages,
 /// * nothing needs the channel driver's element-by-element schedule: no
 ///   chaos injection, no epoch-aligned checkpoints, no deadline.
-pub(crate) fn direct_drive_possible(settings: &ExecSettings, m: usize, all_columnar: bool) -> bool {
+pub(crate) fn direct_drive_possible(settings: &ExecSettings, m: usize) -> bool {
     m > 0
-        && all_columnar
-        && settings.assigner.is_partition(m)
         && matches!(settings.strategy, ExecutionStrategy::Sequential)
         && settings.chaos.is_none()
         && settings.checkpoint.is_none()
         && settings.supervision.deadline.is_none()
 }
 
-/// Whether this run takes the direct columnar drive instead of the
-/// channel driver: [`direct_drive_possible`], plus what only the run
-/// knows — arrivals are non-decreasing (a record then reaches the
-/// channel driver's sorter after a watermark `w` only if its arrival is
-/// at least `w`, so the sorter releases the stable sort by arrival of
-/// what the sequential union feeds it: sub-stream 0's output, then
-/// sub-stream 1's, and so on), no reconfiguration is scheduled, and no
-/// deadline is armed.
-fn columnar_direct_eligible(
+/// Whether this run takes the direct drive instead of the channel
+/// driver: [`direct_drive_possible`], plus what only the run knows —
+/// arrivals are non-decreasing (every watermark the source sends is then
+/// the arrival of the record just before it, and no later input record
+/// lies below it), no reconfiguration is scheduled, and no deadline is
+/// armed.
+fn direct_eligible(
     settings: &ExecSettings,
-    pipelines: &[BuiltPipeline],
+    m: usize,
     clean: &[StampedTuple],
     deadline: Option<Instant>,
 ) -> bool {
-    let all_columnar = pipelines
-        .iter()
-        .all(|p| matches!(p, BuiltPipeline::Columnar(_)));
-    direct_drive_possible(settings, pipelines.len(), all_columnar)
+    direct_drive_possible(settings, m)
         // A control channel with scheduled plans needs the watermark
         // cadence of the channel driver to find its epoch boundary. An
         // empty channel is inert: scheduling against an already-running
@@ -929,81 +911,242 @@ fn columnar_direct_eligible(
         && clean.windows(2).all(|w| w[0].arrival <= w[1].arrival)
 }
 
-/// The direct columnar drive: route every tuple to its sub-stream,
-/// pivot each sub-stream to columns *once*, run the kernels against the
-/// run's log in sub-stream order, and merge the outputs by (arrival,
-/// sub-stream index).
+/// The source's watermark strategy: `max τ` every `watermark_period`
+/// tuples. The channel driver's source and the direct drive's replay
+/// share it.
+fn source_watermarks(settings: &ExecSettings) -> WatermarkStrategy<StampedTuple> {
+    WatermarkStrategy::bounded_out_of_orderness(
+        |t: &StampedTuple| t.tau,
+        icewafl_types::Duration::ZERO,
+        settings.watermark_period,
+    )
+}
+
+/// The direct drive: route every tuple into each sub-stream it joins,
+/// run the sub-streams one after another against the run's log, and
+/// merge their outputs by arrival.
 ///
-/// The sequential channel driver drains its sub-streams back to back,
-/// so its log is the concatenation of the per-sub-stream logs, each in
-/// (row, stage, attribute) order — exactly what this drive records. Its
-/// sorter emits the stable sort by arrival of sub-stream 0's output,
-/// then sub-stream 1's, …; each output keeps its input's non-decreasing
-/// arrivals, so that sort is the merge below. Per-component RNG streams
-/// depend only on per-sub-stream row order (identical here), so polluter
-/// stats match too.
-fn execute_columnar_direct(
+/// A columnar sub-stream pivots its whole input once and runs its
+/// kernels. A row sub-stream feeds its pipeline tuple by tuple and gets
+/// the source's watermarks at the input positions where the channel
+/// driver's router broadcasts them — every sub-stream sees every
+/// watermark, whether or not a tuple reached it since the last one —
+/// then `W(MAX)` and the end of the stream.
+///
+/// The sequential channel driver drains its sub-streams back to back, so
+/// its log is the concatenation of the per-sub-stream logs, which is
+/// what this drive records, and every component RNG sees its
+/// sub-stream's tuples in the same order, so the stats agree too. Its
+/// sorter receives `O_0 ++ … ++ O_{m−1}`, with watermarks only inside
+/// the last sub-stream's output. Unless a record of that output comes
+/// out below a watermark that already passed, the sorter emits the
+/// stable sort by arrival of the concatenation: [`merge_by_arrival`].
+/// Built-in polluters never lower an arrival; a user polluter may, and
+/// then the recorded sequence goes through an [`EventTimeSorter`] the
+/// way the channel driver feeds it ([`sort_like_the_channel`]).
+fn execute_direct(
     settings: &ExecSettings,
     clean: &[StampedTuple],
     pipelines: &mut [BuiltPipeline],
     log: &mut PollutionLog,
     registry: &MetricsRegistry,
-) -> Vec<StampedTuple> {
+) -> Result<Vec<StampedTuple>> {
     let m = pipelines.len();
     let mut selector = settings.assigner.selector(m);
-    let mut buckets: Vec<Vec<StampedTuple>> = (0..m).map(|_| Vec::new()).collect();
+    let mut members: Vec<Vec<usize>> = vec![Vec::new(); m];
     let mut membership: Vec<usize> = Vec::with_capacity(m);
-    for t in clean {
+    for (pos, t) in clean.iter().enumerate() {
         membership.clear();
         selector(t, &mut membership);
-        let [i] = membership[..] else {
-            unreachable!("eligibility requires a partitioning assigner");
-        };
-        let mut routed = t.clone();
-        routed.sub_stream = i as u32;
-        buckets[i].push(routed);
+        // As the router does: out-of-range indices are ignored and
+        // repeats collapse.
+        membership.retain(|&i| i < m);
+        membership.dedup();
+        for &i in &membership {
+            members[i].push(pos);
+        }
     }
+    let watermarks = if pipelines.iter().any(|p| matches!(p, BuiltPipeline::Row(_))) {
+        source_watermarks(settings).schedule(clean)
+    } else {
+        Vec::new()
+    };
 
     let mut outputs: Vec<Vec<StampedTuple>> = Vec::with_capacity(m);
-    for (i, bucket) in buckets.into_iter().enumerate() {
-        let rows_in = bucket.len();
-        let BuiltPipeline::Columnar(pipeline) = &mut pipelines[i] else {
-            unreachable!("eligibility requires all-columnar pipelines");
-        };
-        let processed = pipeline.process_rows(bucket, log);
-        pipeline.finish(log);
-        assert_eq!(
-            processed.len(),
-            rows_in,
-            "column kernels are value-only and must be 1:1"
-        );
-        // Mirror the stage counters the channel driver would register
-        // under the same predicted label (`--explain` cross-checks
-        // these, and `icewafl top` renders them). Sequential layout:
-        // 00 sorter, 01 router, 02.. one per sub-stream, then source.
-        let label = format!("stage/{:02}_pollution_pipeline", 2 + i);
-        registry
-            .counter(&format!("{label}/elements_in"))
-            .add(rows_in as u64);
-        registry
-            .counter(&format!("{label}/elements_out"))
-            .add(rows_in as u64);
-        outputs.push(processed);
+    // Where the watermarks fell in the last sub-stream's output: `(k, w)`
+    // means `W(w)` passed after its first `k` records.
+    let mut last_marks: Vec<(usize, Timestamp)> = Vec::new();
+    for (i, (pipeline, rows)) in pipelines.iter_mut().zip(&members).enumerate() {
+        // Sequential layout: 00 sorter, 01 router, 02.. one per
+        // sub-stream, then source.
+        let stage =
+            DirectStage::register(registry, format!("stage/{:02}_pollution_pipeline", 2 + i));
+        let marks = (i + 1 == m).then_some(&mut last_marks);
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match pipeline {
+            BuiltPipeline::Columnar(p) => {
+                let bucket = rows.iter().map(|&pos| clean[pos].clone()).collect();
+                let out = stage.timed(0, rows.len(), || p.process_rows(bucket, log));
+                p.finish(log);
+                out
+            }
+            BuiltPipeline::Row(p) => drive_row(p, clean, rows, &watermarks, log, marks, &stage),
+        }));
+        let mut out = run.map_err(|payload| {
+            stage.metrics.failures.inc();
+            icewafl_types::Error::from(PipelineError::from(StageError::from_panic(
+                &stage.label,
+                payload,
+            )))
+        })?;
+        for t in &mut out {
+            t.sub_stream = i as u32;
+        }
+        stage.metrics.elements_in.add(rows.len() as u64);
+        stage.metrics.elements_out.add(out.len() as u64);
+        outputs.push(out);
     }
 
-    let n = clean.len() as u64;
+    let total: usize = outputs.iter().map(Vec::len).sum();
     registry
         .counter("stage/00_event_time_sorter/elements_in")
-        .add(n);
+        .add(total as u64);
     registry
         .counter("stage/00_event_time_sorter/elements_out")
-        .add(n);
-    merge_by_arrival(outputs)
+        .add(total as u64);
+    let last = outputs.last().expect("eligibility requires a sub-stream");
+    Ok(if emits_below_a_passed_watermark(last, &last_marks) {
+        sort_like_the_channel(outputs, &last_marks)
+    } else {
+        merge_by_arrival(outputs)
+    })
 }
 
-/// Merges sub-stream outputs, each non-decreasing in arrival, into one
-/// stream ordered by (arrival, sub-stream index): the stable sort by
-/// arrival of their concatenation in index order.
+/// One sub-stream stage of the direct drive, measured under the label
+/// the channel driver gives its operator — so a panicking polluter fails
+/// the run with the same typed error, and `--report`, `--trace-out` and
+/// `--explain`'s cross-check read it as they read that stage: records in
+/// and out, 1-in-64 sampled wall time with a trace span, and the
+/// highest watermark it saw.
+struct DirectStage {
+    label: String,
+    metrics: StageMetrics,
+}
+
+impl DirectStage {
+    fn register(registry: &MetricsRegistry, label: String) -> Self {
+        let metrics = StageMetrics::register(registry, &label);
+        DirectStage { label, metrics }
+    }
+
+    /// Runs `f` over this stage's records `seen..seen + len`, timed when
+    /// the range covers a sample point, with one histogram entry per
+    /// sample point covered, as the channel driver's stage times a
+    /// batch.
+    fn timed<R>(&self, seen: usize, len: usize, f: impl FnOnce() -> R) -> R {
+        let (seen, len) = (seen as u64, len as u64);
+        let next_sample = (seen + SAMPLE_MASK) & !SAMPLE_MASK;
+        if next_sample >= seen + len {
+            return f();
+        }
+        let mut span = icewafl_obs::trace::span(&self.label, "stage");
+        if let Some(s) = span.as_mut().filter(|_| len > 1) {
+            s.arg("batch", len);
+        }
+        let sw = icewafl_obs::Stopwatch::start();
+        let result = f();
+        let elapsed = sw.elapsed_ns();
+        for _ in 0..(seen + len - 1 - next_sample) / (SAMPLE_MASK + 1) + 1 {
+            self.metrics.latency_ns.record(elapsed);
+        }
+        result
+    }
+}
+
+/// Feeds the tuples of `clean` at input positions `rows` through a row
+/// pipeline, with the source's `watermarks` at their input positions,
+/// then `W(MAX)` and the end of the stream: the element sequence the
+/// channel driver's router sends this sub-stream. With `marks` set, it
+/// records where each watermark passed in the output.
+fn drive_row(
+    pipeline: &mut PollutionPipeline,
+    clean: &[StampedTuple],
+    rows: &[usize],
+    watermarks: &[(usize, Timestamp)],
+    log: &mut PollutionLog,
+    mut marks: Option<&mut Vec<(usize, Timestamp)>>,
+    stage: &DirectStage,
+) -> Vec<StampedTuple> {
+    let mut out = Vec::with_capacity(rows.len());
+    let mut pending = watermarks.iter().peekable();
+    for (seen, pos) in rows.iter().map(Some).chain([None]).enumerate() {
+        // The watermarks the router sends before this tuple; after the
+        // last one, all that are left.
+        while let Some(&(_, wm)) =
+            pending.next_if(|&&(after, _)| pos.is_none_or(|&pos| after <= pos))
+        {
+            pipeline.on_watermark(wm, &mut Emission::new(&mut out, log));
+            stage.metrics.watermark_hwm_ms.set_max(wm.0.max(0) as u64);
+            if let Some(marks) = marks.as_deref_mut() {
+                marks.push((out.len(), wm));
+            }
+        }
+        if let Some(&pos) = pos {
+            stage.timed(seen, 1, || {
+                pipeline.process(clean[pos].clone(), &mut Emission::new(&mut out, log))
+            });
+        }
+    }
+    pipeline.on_watermark(Timestamp::MAX, &mut Emission::new(&mut out, log));
+    pipeline.finish(&mut Emission::new(&mut out, log));
+    out
+}
+
+/// Whether a record of `out` has an arrival below a watermark that
+/// `marks` says passed before it — the one case in which the channel
+/// driver's sorter does not emit the stable sort by arrival.
+fn emits_below_a_passed_watermark(out: &[StampedTuple], marks: &[(usize, Timestamp)]) -> bool {
+    let mut passed = Timestamp::MIN;
+    let mut pending = marks.iter().peekable();
+    out.iter().enumerate().any(|(j, t)| {
+        while let Some(&(_, wm)) = pending.next_if(|&&(k, _)| k <= j) {
+            passed = wm;
+        }
+        t.arrival < passed
+    })
+}
+
+/// What the channel driver's sorter emits for the sub-stream outputs
+/// `outputs`: it receives them back to back, with watermarks only inside
+/// the last one, where `marks` recorded them, then `W(MAX)`.
+fn sort_like_the_channel(
+    outputs: Vec<Vec<StampedTuple>>,
+    marks: &[(usize, Timestamp)],
+) -> Vec<StampedTuple> {
+    let mut sorter = EventTimeSorter::new(|t: &StampedTuple| t.arrival);
+    let mut sorted: Vec<StampedTuple> = Vec::with_capacity(outputs.iter().map(Vec::len).sum());
+    let mut outputs = outputs.into_iter();
+    let last = outputs.next_back().expect("one output per sub-stream");
+    for t in outputs.flatten() {
+        sorter.on_element(t, &mut sorted);
+    }
+    let mut pending = marks.iter().peekable();
+    for (j, t) in last.into_iter().enumerate() {
+        while let Some(&(_, wm)) = pending.next_if(|&&(k, _)| k <= j) {
+            sorter.on_watermark(wm, &mut sorted);
+        }
+        sorter.on_element(t, &mut sorted);
+    }
+    for &(_, wm) in pending {
+        sorter.on_watermark(wm, &mut sorted);
+    }
+    sorter.on_watermark(Timestamp::MAX, &mut sorted);
+    sorter.on_end(&mut sorted);
+    sorted
+}
+
+/// Merges sub-stream outputs into one stream ordered by arrival, ties
+/// by sub-stream index and then by position within the sub-stream: the
+/// stable sort by arrival of their concatenation in index order.
 fn merge_by_arrival(outputs: Vec<Vec<StampedTuple>>) -> Vec<StampedTuple> {
     let mut all: Vec<StampedTuple> = outputs.into_iter().flatten().collect();
     all.sort_by_key(|t| t.arrival);
@@ -1058,19 +1201,19 @@ pub(crate) fn execute_attempt(
     }
     let registry = MetricsRegistry::new();
 
-    // Fully-columnar sequential plans over non-decreasing arrivals take
-    // the direct drive: one representation pivot per sub-stream instead
-    // of per transport batch, and no channel/sorter machinery at all.
-    // Everything else runs on the channel driver (see
-    // `columnar_direct_eligible`). The drive that ran counts its input
-    // under `drive/<name>/tuples_in`.
+    // Sequential plans over non-decreasing arrivals take the direct
+    // drive: no router, channels, union or sorter heap, and one
+    // representation pivot per columnar sub-stream instead of one per
+    // transport batch. Everything else runs on the channel driver (see
+    // `direct_eligible`). The drive that ran counts its input under
+    // `drive/<name>/tuples_in`.
     let mut pipelines = pipelines;
-    let polluted = if columnar_direct_eligible(settings, &pipelines, &clean, deadline) {
+    let polluted = if direct_eligible(settings, pipelines.len(), &clean, deadline) {
         registry
-            .counter("drive/columnar_direct/tuples_in")
+            .counter("drive/direct/tuples_in")
             .add(clean.len() as u64);
         let mut log = log.lock();
-        execute_columnar_direct(settings, &clean, &mut pipelines, &mut log, &registry)
+        execute_direct(settings, &clean, &mut pipelines, &mut log, &registry)?
     } else {
         registry
             .counter("drive/channel/tuples_in")
@@ -1412,11 +1555,7 @@ fn drive_pipelines(
         })
         .collect::<Result<_>>()?;
 
-    let watermarks = WatermarkStrategy::bounded_out_of_orderness(
-        |t: &StampedTuple| t.tau,
-        icewafl_types::Duration::ZERO,
-        settings.watermark_period,
-    );
+    let watermarks = source_watermarks(settings);
     let stream = match coordinator {
         Some(coordinator) => DataStream::from_source_checkpointed(
             source,

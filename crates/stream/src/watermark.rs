@@ -54,6 +54,24 @@ impl<T> WatermarkStrategy<T> {
         }
     }
 
+    /// The watermarks a source driven by this strategy injects over
+    /// `records`, as `(k, w)`: `W(w)` follows the `k`-th record. The
+    /// closing `W(MAX)` every source sends before its end marker is not
+    /// listed. A driver that skips the stream runtime replays the
+    /// schedule of [`DataStream::from_source`](crate::DataStream::from_source)
+    /// from this.
+    pub fn schedule<'a>(self, records: impl IntoIterator<Item = &'a T>) -> Vec<(usize, Timestamp)>
+    where
+        T: 'a,
+    {
+        let mut generator = self.generator();
+        records
+            .into_iter()
+            .enumerate()
+            .filter_map(|(i, r)| generator.on_record(r).map(|wm| (i + 1, wm)))
+            .collect()
+    }
+
     /// Instantiates the per-stream generator state.
     pub(crate) fn generator(self) -> WatermarkGenerator<T> {
         WatermarkGenerator {
@@ -168,6 +186,21 @@ mod tests {
         assert_eq!(g.on_record(&2), None);
         assert_eq!(g.on_record(&3), Some(Timestamp(3)));
         assert_eq!(g.on_record(&4), None);
+    }
+
+    #[test]
+    fn schedule_lists_what_the_generator_emits() {
+        // Ties and a regression: only rising maxima every 2nd record.
+        let records = [1i64, 1, 1, 1, 3, 2, 2, 2, 5];
+        let strategy =
+            WatermarkStrategy::bounded_out_of_orderness(|x: &i64| Timestamp(*x), Duration::ZERO, 2);
+        assert_eq!(
+            strategy.schedule(&records),
+            vec![(2, Timestamp(1)), (6, Timestamp(3))]
+        );
+        assert!(WatermarkStrategy::<i64>::none()
+            .schedule(&records)
+            .is_empty());
     }
 
     #[test]

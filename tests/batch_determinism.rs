@@ -10,6 +10,8 @@
 
 use icewafl::prelude::*;
 use icewafl::types::{DataType, Error, Timestamp, Value};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Swept batch sizes: unbatched, an odd size that never divides the
 /// watermark period, the default, and one far beyond it.
@@ -306,10 +308,10 @@ fn drive_of(out: &PollutionOutput) -> Option<&'static str> {
     let counters = &out.report.metrics.counters;
     let routed = counters.keys().any(|k| k.contains("split_router"));
     match (
-        counters.contains_key("drive/columnar_direct/tuples_in"),
+        counters.contains_key("drive/direct/tuples_in"),
         counters.contains_key("drive/channel/tuples_in"),
     ) {
-        (true, false) if !routed => Some("columnar_direct"),
+        (true, false) if !routed => Some("direct"),
         (false, true) if routed => Some("channel"),
         other => panic!("inconsistent drive counters {other:?}, split_router metrics: {routed}"),
     }
@@ -322,13 +324,64 @@ fn assert_drive(out: &PollutionOutput, expected: &str, what: &str) {
     }
 }
 
+/// Asserts that two runs wrote the same bytes: polluted stream, clean
+/// stream and ground-truth log, and with `stats` also every polluter's
+/// statistics (fires, skips, condition evaluations, RNG draws, buffer
+/// peaks, log entries).
+fn assert_same_run(got: &PollutionOutput, want: &PollutionOutput, stats: bool, what: &str) {
+    assert_eq!(got.polluted, want.polluted, "polluted stream ({what})");
+    assert_eq!(got.clean, want.clean, "clean stream ({what})");
+    assert_eq!(got.log.entries(), want.log.entries(), "log ({what})");
+    if stats {
+        assert_eq!(
+            got.report.polluters, want.report.polluters,
+            "stats ({what})"
+        );
+    }
+}
+
+/// `(elements_in, elements_out)` of each of `m` sub-stream pollution
+/// stages, whose labels start at index `first` (2 on the sequential
+/// layout, 3 behind the pipelined strategy's extra channel stage).
+fn pipeline_counts(out: &PollutionOutput, first: usize, m: usize) -> Vec<(u64, u64)> {
+    let c = |i: usize, what: &str| {
+        out.report
+            .metrics
+            .counter(&format!("stage/{:02}_pollution_pipeline/{what}", first + i))
+    };
+    (0..m)
+        .map(|i| (c(i, "elements_in"), c(i, "elements_out")))
+        .collect()
+}
+
+/// Asserts that a direct run's stage counters say what a real channel
+/// run (pipelined strategy) measured: tuples into and out of each
+/// sub-stream, drops and duplicates included, and into the sorter.
+fn assert_same_stage_counts(direct: &PollutionOutput, channel: &PollutionOutput, m: usize) {
+    if !direct.report.metrics_compiled_in {
+        return;
+    }
+    assert_eq!(
+        pipeline_counts(direct, 2, m),
+        pipeline_counts(channel, 3, m),
+        "sub-stream stage counters"
+    );
+    let sorted = |out: &PollutionOutput| {
+        out.report
+            .metrics
+            .counter("stage/00_event_time_sorter/elements_in")
+    };
+    assert_eq!(sorted(direct), sorted(channel), "sorter input");
+    assert_eq!(sorted(direct), direct.polluted.len() as u64);
+}
+
 #[test]
 fn direct_columnar_drive_matches_the_channel_paths() {
-    // A sequential all-columnar plan takes the direct drive (bucket →
-    // pivot once → kernels → merge by arrival, no channels or sorter
-    // heap) with the log off and on. Its output and log must match
-    // both the row channel path and a real columnar channel run: the
-    // pipelined strategy keeps the channel driver.
+    // A sequential plan takes the direct drive (route → pivot once →
+    // kernels → merge by arrival, no channels or sorter heap) with the
+    // log off and on, on columns and on rows alike. Both must match a
+    // real channel run: the pipelined strategy keeps the channel
+    // driver, on columns and on rows.
     let run_with = |strategy: StrategyHint, repr: ReprHint, logging: bool, batch_size: usize| {
         let mut plan = repr_plan(strategy, batch_size, repr);
         plan.logging = logging;
@@ -337,33 +390,34 @@ fn direct_columnar_drive_matches_the_channel_paths() {
     for logging in [false, true] {
         for batch_size in [64usize, 4096] {
             let what = format!("logging {logging}, batch {batch_size}");
-            let row = run_with(StrategyHint::Sequential, ReprHint::Row, logging, batch_size);
             let direct = run_with(
                 StrategyHint::Sequential,
                 ReprHint::Columnar,
                 logging,
                 batch_size,
             );
+            let direct_row = run_with(StrategyHint::Sequential, ReprHint::Row, logging, batch_size);
             let channel = run_with(
                 StrategyHint::Pipelined,
                 ReprHint::Columnar,
                 logging,
                 batch_size,
             );
-            assert_drive(&row, "channel", &what);
-            assert_drive(&direct, "columnar_direct", &what);
+            let channel_row = run_with(StrategyHint::Pipelined, ReprHint::Row, logging, batch_size);
+            assert_drive(&direct, "direct", &what);
+            assert_drive(&direct_row, "direct", &what);
             assert_drive(&channel, "channel", &what);
-            assert_eq!(
-                direct.polluted, row.polluted,
-                "direct columnar drive diverged from row ({what})"
+            assert_drive(&channel_row, "channel", &what);
+            assert_same_run(&direct, &channel, true, &format!("columnar, {what}"));
+            assert_same_run(&direct_row, &channel_row, true, &format!("rows, {what}"));
+            assert_same_run(
+                &direct,
+                &channel_row,
+                false,
+                &format!("columnar vs rows, {what}"),
             );
-            assert_eq!(direct.clean, row.clean);
-            assert_eq!(
-                direct.polluted, channel.polluted,
-                "direct drive diverged from channel columnar ({what})"
-            );
-            assert_eq!(direct.log.entries(), row.log.entries(), "log ({what})");
-            assert_eq!(direct.log.entries(), channel.log.entries(), "log ({what})");
+            assert_same_stage_counts(&direct, &channel, 3);
+            assert_same_stage_counts(&direct_row, &channel_row, 3);
             assert_eq!(!direct.log.is_empty(), logging);
         }
     }
@@ -395,50 +449,52 @@ fn tied_tuples(ticks: i64, swap_at: Option<usize>) -> Vec<Tuple> {
 fn tied_arrivals_take_the_direct_drive_byte_identically() {
     // The paper-scale shape: interleaved stations tie on every
     // timestamp, the log is on (the CLI default), and the plan is
-    // value-only. Under the sequential strategy the columnar plan takes
-    // the direct drive; under the pipelined one it keeps the channel
-    // driver. Either way it must equal the row channel run byte for
-    // byte: polluted stream, clean stream and ground-truth log.
+    // value-only. Under the sequential strategy it takes the direct
+    // drive on columns and on rows; under the pipelined one it keeps
+    // the channel driver. Every run must equal the row channel run byte
+    // for byte: polluted stream, clean stream and ground-truth log.
     let input = tied_tuples(60, None);
     for m in [3usize, 5] {
-        for strategy in [StrategyHint::Sequential, StrategyHint::Pipelined] {
-            for batch_size in BATCH_SIZES {
-                let run_with = |repr: ReprHint| {
-                    let mut plan = repr_plan(strategy, batch_size, repr);
-                    plan.pipelines.truncate(1);
-                    let first = plan.pipelines[0].clone();
-                    plan.pipelines = (0..m)
-                        .map(|i| {
-                            first
-                                .iter()
-                                .map(|p| {
-                                    let mut p = p.clone();
-                                    if let PolluterConfig::Standard { name, .. } = &mut p {
-                                        *name = format!("{name}-{i}");
-                                    }
-                                    p
-                                })
-                                .collect()
-                        })
-                        .collect();
-                    assert!(plan.logging, "the log is on by default");
-                    plan.compile(&schema())
-                        .expect("plan compiles")
-                        .execute(input.clone())
-                        .expect("run succeeds")
-                };
-                let what = format!("{m} sub-streams, {strategy:?}, batch {batch_size}");
-                let row = run_with(ReprHint::Row);
-                let col = run_with(ReprHint::Columnar);
-                let expected = match strategy {
-                    StrategyHint::Sequential => "columnar_direct",
-                    _ => "channel",
-                };
-                assert_drive(&col, expected, &what);
-                assert!(row.log.len() > 100, "the plan pollutes ({what})");
-                assert_eq!(col.polluted, row.polluted, "polluted stream ({what})");
-                assert_eq!(col.clean, row.clean, "clean stream ({what})");
-                assert_eq!(col.log.entries(), row.log.entries(), "log ({what})");
+        for batch_size in BATCH_SIZES {
+            let run_with = |strategy: StrategyHint, repr: ReprHint| {
+                let mut plan = repr_plan(strategy, batch_size, repr);
+                plan.pipelines.truncate(1);
+                let first = plan.pipelines[0].clone();
+                plan.pipelines = (0..m)
+                    .map(|i| {
+                        first
+                            .iter()
+                            .map(|p| {
+                                let mut p = p.clone();
+                                if let PolluterConfig::Standard { name, .. } = &mut p {
+                                    *name = format!("{name}-{i}");
+                                }
+                                p
+                            })
+                            .collect()
+                    })
+                    .collect();
+                assert!(plan.logging, "the log is on by default");
+                plan.compile(&schema())
+                    .expect("plan compiles")
+                    .execute(input.clone())
+                    .expect("run succeeds")
+            };
+            let reference = run_with(StrategyHint::Pipelined, ReprHint::Row);
+            assert_drive(&reference, "channel", "row reference");
+            assert!(reference.log.len() > 100, "the plan pollutes");
+            for strategy in [StrategyHint::Sequential, StrategyHint::Pipelined] {
+                for repr in [ReprHint::Row, ReprHint::Columnar] {
+                    let what =
+                        format!("{m} sub-streams, {strategy:?}, {repr:?}, batch {batch_size}");
+                    let out = run_with(strategy, repr);
+                    let expected = match strategy {
+                        StrategyHint::Sequential => "direct",
+                        _ => "channel",
+                    };
+                    assert_drive(&out, expected, &what);
+                    assert_same_run(&out, &reference, repr == ReprHint::Row, &what);
+                }
             }
         }
     }
@@ -448,8 +504,8 @@ fn tied_arrivals_take_the_direct_drive_byte_identically() {
 fn out_of_order_arrivals_fall_back_to_the_channel_driver() {
     // One tuple a tick early breaks non-decreasing arrivals: the
     // sorter's watermark releases then decide the order, which only the
-    // channel driver reproduces. The columnar plan must fall back and
-    // still equal the row run.
+    // channel driver reproduces. Row and columnar plans must fall back
+    // and still equal each other.
     let input = tied_tuples(40, Some(100));
     for batch_size in BATCH_SIZES {
         let run_with = |repr: ReprHint| {
@@ -462,36 +518,364 @@ fn out_of_order_arrivals_fall_back_to_the_channel_driver() {
         let what = format!("batch {batch_size}");
         let row = run_with(ReprHint::Row);
         let col = run_with(ReprHint::Columnar);
+        assert_drive(&row, "channel", &what);
         assert_drive(&col, "channel", &what);
-        assert_eq!(col.polluted, row.polluted, "polluted stream ({what})");
-        assert_eq!(col.clean, row.clean, "clean stream ({what})");
-        assert_eq!(col.log.entries(), row.log.entries(), "log ({what})");
+        assert_same_run(&col, &row, false, &what);
+    }
+}
+
+/// Sub-stream `i`'s pipeline of a value-only (`values`), temporal-only
+/// (`temporal`) or mixed plan: noise and scale lower to column kernels;
+/// delay, drop, duplicate, freeze and burst keep a sub-stream on rows.
+/// The mixed plan alternates, temporal on even sub-streams.
+fn pipeline_of(kind: &str, i: usize) -> Vec<PolluterConfig> {
+    let p = |p: f64| ConditionConfig::Probability { p };
+    let values = vec![
+        noise(format!("noise-{i}")),
+        PolluterConfig::Standard {
+            name: format!("scale-{i}"),
+            attributes: vec!["x".into()],
+            error: ErrorConfig::Scale { factor: 1.5 },
+            condition: p(0.3),
+            pattern: None,
+        },
+    ];
+    let temporal = vec![
+        PolluterConfig::Delay {
+            name: format!("lag-{i}"),
+            condition: p(0.2),
+            // Two ticks of `tied_tuples`: a delayed tuple ties with the
+            // tuples two ticks on, so where the watermarks release it
+            // decides its place among them.
+            delay_ms: 120_000,
+        },
+        PolluterConfig::Drop {
+            name: format!("drop-{i}"),
+            condition: p(0.1),
+        },
+        PolluterConfig::Duplicate {
+            name: format!("dup-{i}"),
+            condition: p(0.1),
+            copies: 2,
+        },
+        PolluterConfig::Freeze {
+            name: format!("freeze-{i}"),
+            condition: p(0.05),
+            attributes: vec!["x".into()],
+            duration_ms: 180_000,
+        },
+        PolluterConfig::Burst {
+            name: format!("burst-{i}"),
+            condition: p(0.03),
+            attributes: vec!["x".into()],
+            error: ErrorConfig::Scale { factor: 0.125 },
+            duration_ms: 120_000,
+        },
+    ];
+    match kind {
+        "values" => values,
+        "temporal" => temporal,
+        _ if i.is_multiple_of(2) => temporal,
+        _ => values,
     }
 }
 
 #[test]
-fn multi_membership_assigners_fall_back_identically() {
+fn temporal_plans_take_the_direct_drive_byte_identically() {
+    // The paper's temporal errors — delays, drops, duplicates, frozen
+    // values, bursts — on interleaved series tied on every timestamp,
+    // with the log on. Under the sequential strategy the plan takes the
+    // direct drive: row sub-streams get the source's watermarks at the
+    // channel driver's input positions. It must equal a real channel run
+    // (pipelined) in every byte and every statistic, and its stage
+    // counters must count what really left each sub-stream.
+    let input = tied_tuples(40, None);
+    for (kind, m) in [("temporal", 1usize), ("temporal", 4), ("mixed", 4)] {
+        for period in [1u64, 7, 64] {
+            for batch_size in BATCH_SIZES {
+                let run_with = |strategy: StrategyHint| {
+                    let mut plan =
+                        LogicalPlan::new(5, (0..m).map(|i| pipeline_of(kind, i)).collect());
+                    plan.assigner = AssignerSpec::RoundRobin;
+                    plan.strategy = strategy;
+                    plan.watermark_period = period;
+                    plan.batch_size = batch_size;
+                    let physical = plan.compile(&schema()).expect("plan compiles");
+                    if kind == "mixed" {
+                        let summary = format!("mixed({}/{m} columnar)", m / 2);
+                        assert_eq!(physical.repr_summary(), summary);
+                    }
+                    physical.execute(input.clone()).expect("run succeeds")
+                };
+                let what = format!("{kind}, {m} sub-streams, period {period}, batch {batch_size}");
+                let direct = run_with(StrategyHint::Sequential);
+                let channel = run_with(StrategyHint::Pipelined);
+                assert_drive(&direct, "direct", &what);
+                assert_drive(&channel, "channel", &what);
+                assert_ne!(direct.polluted.len(), input.len(), "drops, dups ({what})");
+                assert!(
+                    direct
+                        .polluted
+                        .windows(2)
+                        .all(|w| w[0].arrival <= w[1].arrival),
+                    "sorted by arrival ({what})"
+                );
+                assert_same_run(&direct, &channel, true, &what);
+                assert_same_stage_counts(&direct, &channel, m);
+            }
+        }
+    }
+}
+
+#[test]
+fn multi_membership_assigners_take_the_direct_drive_identically() {
     // Broadcast (every tuple in every sub-stream) and probabilistic
-    // overlap defeat the direct drive's single-membership requirement;
-    // it must bail to the channel driver before any side effect, and
-    // columnar must still match row byte-for-byte.
+    // overlap route a tuple into several sub-streams. The direct drive
+    // clones it into each, as the router does, and twins sharing an
+    // arrival merge by sub-stream index, as the sorter releases them.
+    // Value-only, temporal-only and mixed plans must equal a real
+    // channel run byte for byte at several watermark periods.
     for assigner in [
         AssignerSpec::Broadcast,
         AssignerSpec::Probabilistic { p: 0.6 },
     ] {
-        let run_with = |repr: ReprHint| {
-            let mut plan = repr_plan(StrategyHint::Sequential, 256, repr);
-            plan.assigner = assigner;
-            plan.logging = false;
-            run(&plan, 300)
+        for kind in ["values", "temporal", "mixed"] {
+            for period in [1u64, 5, 64] {
+                let run_with = |strategy: StrategyHint| {
+                    let mut plan =
+                        LogicalPlan::new(42, (0..3).map(|i| pipeline_of(kind, i)).collect());
+                    plan.assigner = assigner;
+                    plan.strategy = strategy;
+                    plan.watermark_period = period;
+                    run(&plan, 300)
+                };
+                let what = format!("{assigner:?}, {kind}, period {period}");
+                let direct = run_with(StrategyHint::Sequential);
+                let channel = run_with(StrategyHint::Pipelined);
+                assert_drive(&direct, "direct", &what);
+                assert_drive(&channel, "channel", &what);
+                assert!(direct.polluted.len() > 300, "overlap fans out ({what})");
+                assert_same_run(&direct, &channel, true, &what);
+                assert_same_stage_counts(&direct, &channel, 3);
+            }
+        }
+    }
+}
+
+/// Moves every `every`-th tuple's arrival `by_ms` *earlier*, which no
+/// built-in polluter does (delays are non-negative).
+struct Rewind {
+    every: u64,
+    by_ms: i64,
+}
+
+impl Polluter for Rewind {
+    fn process(&mut self, mut tuple: StampedTuple, out: &mut Emission) {
+        if tuple.id.is_multiple_of(self.every) {
+            tuple.arrival = Timestamp(tuple.arrival.millis() - self.by_ms);
+        }
+        out.emit(tuple);
+    }
+
+    fn name(&self) -> &str {
+        "rewind"
+    }
+
+    fn expected_probability(&self, _tuple: &StampedTuple) -> f64 {
+        0.0
+    }
+}
+
+/// Holds every `every`-th tuple until the next watermark and writes
+/// that watermark into `x`; what `finish` releases keeps its value. Its
+/// output shows which watermarks a sub-stream saw, and where.
+struct Latch {
+    every: u64,
+    held: Vec<StampedTuple>,
+}
+
+impl Polluter for Latch {
+    fn process(&mut self, tuple: StampedTuple, out: &mut Emission) {
+        if tuple.id.is_multiple_of(self.every) {
+            self.held.push(tuple);
+        } else {
+            out.emit(tuple);
+        }
+    }
+
+    fn on_watermark(&mut self, wm: Timestamp, out: &mut Emission) {
+        for mut tuple in self.held.drain(..) {
+            if let Some(x) = tuple.tuple.get_mut(1) {
+                *x = Value::Float(wm.millis() as f64);
+            }
+            out.emit(tuple);
+        }
+    }
+
+    fn finish(&mut self, out: &mut Emission) {
+        for tuple in self.held.drain(..) {
+            out.emit(tuple);
+        }
+    }
+
+    fn name(&self) -> &str {
+        "latch"
+    }
+
+    fn expected_probability(&self, _tuple: &StampedTuple) -> f64 {
+        0.0
+    }
+}
+
+#[test]
+fn user_polluters_see_the_channel_call_sequence() {
+    // Every sub-stream gets every watermark at the input position the
+    // router broadcasts it, then `W(MAX)`, then the end — on the direct
+    // drive as on the channel driver. A polluter that writes the
+    // watermark releasing a held tuple into it makes each call visible.
+    let m = 3;
+    for period in [1u64, 7, 64] {
+        let run_with = |strategy: StrategyHint| {
+            let pipelines = (0..m)
+                .map(|_| {
+                    PollutionPipeline::new(vec![Box::new(Latch {
+                        every: 4,
+                        held: Vec::new(),
+                    })])
+                })
+                .collect();
+            PollutionJob::new(schema())
+                .with_assigner(SubStreamAssigner::RoundRobin)
+                .with_watermark_period(period)
+                .with_strategy(strategy)
+                .run(tuples(333), pipelines)
+                .expect("run succeeds")
         };
-        let row = run_with(ReprHint::Row);
-        let col = run_with(ReprHint::Columnar);
+        let what = format!("period {period}");
+        let direct = run_with(StrategyHint::Sequential);
+        let channel = run_with(StrategyHint::Pipelined);
+        assert_drive(&direct, "direct", &what);
+        assert_drive(&channel, "channel", &what);
+        assert_same_run(&direct, &channel, true, &what);
+        let released_at_end = direct
+            .polluted
+            .iter()
+            .any(|t| t.tuple.get(1) == Some(&Value::Float(Timestamp::MAX.millis() as f64)));
+        // Past the last source watermark some tuples are still held
+        // (none with a watermark after every tuple).
         assert_eq!(
-            col.polluted, row.polluted,
-            "fallback diverged under {assigner:?}"
+            released_at_end,
+            period > 1,
+            "the closing W(MAX) reaches the polluter ({what})"
         );
-        assert_eq!(col.clean, row.clean);
+    }
+}
+
+/// Panics on the tuple with id `at`.
+struct Explode {
+    at: u64,
+}
+
+impl Polluter for Explode {
+    fn process(&mut self, tuple: StampedTuple, out: &mut Emission) {
+        assert_ne!(tuple.id, self.at, "polluter bug");
+        out.emit(tuple);
+    }
+
+    fn name(&self) -> &str {
+        "explode"
+    }
+
+    fn expected_probability(&self, _tuple: &StampedTuple) -> f64 {
+        0.0
+    }
+}
+
+#[test]
+fn a_panicking_polluter_fails_either_drive_with_a_typed_error() {
+    // Tuple 51 goes to sub-stream 1 of 2. The direct drive names the
+    // stage the sequential channel layout gives that sub-stream
+    // (stage/03); the pipelined layout has one more channel stage.
+    for (strategy, label) in [
+        (StrategyHint::Sequential, "stage/03_pollution_pipeline"),
+        (StrategyHint::Pipelined, "stage/04_pollution_pipeline"),
+    ] {
+        let pipelines = (0..2)
+            .map(|_| PollutionPipeline::new(vec![Box::new(Explode { at: 51 })]))
+            .collect();
+        let err = PollutionJob::new(schema())
+            .with_assigner(SubStreamAssigner::RoundRobin)
+            .with_strategy(strategy)
+            .run(tuples(100), pipelines)
+            .unwrap_err();
+        match err {
+            Error::Pipeline {
+                stage,
+                kind,
+                message,
+            } => {
+                assert_eq!(stage, label, "{strategy:?}");
+                assert_eq!(kind, "panic", "{strategy:?}");
+                assert!(message.contains("polluter bug"), "{strategy:?}: {message}");
+            }
+            other => panic!("expected Error::Pipeline, got: {other}"),
+        }
+    }
+}
+
+#[test]
+fn a_polluter_lowering_arrivals_keeps_the_channel_order() {
+    // A user polluter that emits a record below a watermark its
+    // sub-stream already passed makes the channel driver's sorter
+    // release that record late, out of arrival order. The direct drive
+    // detects this on the last sub-stream and replays the sorter. The
+    // records of earlier sub-streams reach the sorter before any
+    // watermark, so there the merge by arrival is already exact.
+    let m = 3;
+    for period in [1u64, 7, 64] {
+        for rewinding in [vec![m - 1], vec![0], (0..m).collect()] {
+            let run_with = |strategy: StrategyHint| {
+                let pipelines = (0..m)
+                    .map(|i| {
+                        let delay = DelayPolluter::new(
+                            format!("lag-{i}"),
+                            Box::new(Probability::new(0.2, StdRng::seed_from_u64(i as u64))),
+                            Duration::from_millis(20_000),
+                        )
+                        .expect("non-negative delay");
+                        let mut stages: Vec<BoxPolluter> = vec![Box::new(delay)];
+                        if rewinding.contains(&i) {
+                            stages.push(Box::new(Rewind {
+                                every: 5,
+                                by_ms: 30_000,
+                            }));
+                        }
+                        PollutionPipeline::new(stages)
+                    })
+                    .collect();
+                PollutionJob::new(schema())
+                    .with_assigner(SubStreamAssigner::RoundRobin)
+                    .with_watermark_period(period)
+                    .with_strategy(strategy)
+                    .run(tuples(400), pipelines)
+                    .expect("run succeeds")
+            };
+            let what = format!("period {period}, rewinding {rewinding:?}");
+            let direct = run_with(StrategyHint::Sequential);
+            let channel = run_with(StrategyHint::Pipelined);
+            assert_drive(&direct, "direct", &what);
+            assert_drive(&channel, "channel", &what);
+            assert_same_run(&direct, &channel, true, &what);
+            let late = direct
+                .polluted
+                .windows(2)
+                .any(|w| w[0].arrival > w[1].arrival);
+            assert_eq!(
+                late,
+                rewinding.contains(&(m - 1)),
+                "records below a passed watermark surface late ({what})"
+            );
+        }
     }
 }
 

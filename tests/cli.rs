@@ -391,50 +391,63 @@ fn pollute_trace_out_emits_perfetto_loadable_chrome_trace() {
     );
     let cfg = icewafl(&["example-config"], &dir);
     std::fs::write(dir.join("scenario.json"), &cfg.stdout).unwrap();
-    let out = icewafl(
-        &[
-            "pollute",
-            "--schema",
-            "wearable",
-            "--config",
-            "scenario.json",
-            "--input",
-            "clean.csv",
-            "--output",
-            "dirty.csv",
-            "--seed",
-            "9",
-            "--trace-out",
-            "trace.json",
-        ],
-        &dir,
+    // The same scenario on the pipelined strategy, which keeps the
+    // channel driver (the default sequential one takes the direct drive,
+    // which has no channel edges).
+    let channel_cfg = String::from_utf8(cfg.stdout.clone()).unwrap().replace(
+        "\"execution\": null",
+        "\"execution\": { \"strategy\": \"pipelined\" }",
     );
-    assert!(out.status.success(), "{}", stderr(&out));
-    assert!(stdout(&out).contains("trace:"), "{}", stdout(&out));
-
-    // The export is the Chrome trace-event object form: parseable JSON
-    // with a traceEvents array, which is what Perfetto loads.
-    let trace: serde_json::Value =
-        serde_json::from_str(&std::fs::read_to_string(dir.join("trace.json")).unwrap()).unwrap();
-    let events = trace["traceEvents"].as_array().unwrap();
-    assert!(!events.is_empty(), "trace captured no events");
-    for ev in events {
-        assert!(ev["name"].as_str().is_some());
-        assert!(ev["ph"].as_str().is_some());
-        assert!(ev["ts"].as_f64().is_some());
-    }
-
-    // Sampled stage spans from the pipeline's own stages...
-    assert!(
-        events.iter().any(|e| {
-            e["ph"].as_str() == Some("X")
-                && e["cat"].as_str() == Some("stage")
-                && e["name"].as_str().is_some_and(|n| n.starts_with("stage/"))
-        }),
-        "no stage span in the trace"
-    );
-    // ...and blocked-time attribution on the channel edges (the first
-    // receive of every stage worker is always sampled).
+    assert!(channel_cfg.contains("pipelined"), "{channel_cfg}");
+    std::fs::write(dir.join("channel.json"), channel_cfg).unwrap();
+    let trace_of = |config: &str, trace: &str| {
+        let out = icewafl(
+            &[
+                "pollute",
+                "--schema",
+                "wearable",
+                "--config",
+                config,
+                "--input",
+                "clean.csv",
+                "--output",
+                "dirty.csv",
+                "--seed",
+                "9",
+                "--trace-out",
+                trace,
+            ],
+            &dir,
+        );
+        assert!(out.status.success(), "{}", stderr(&out));
+        assert!(stdout(&out).contains("trace:"), "{}", stdout(&out));
+        // The export is the Chrome trace-event object form: parseable
+        // JSON with a traceEvents array, which is what Perfetto loads.
+        let trace: serde_json::Value =
+            serde_json::from_str(&std::fs::read_to_string(dir.join(trace)).unwrap()).unwrap();
+        let events = trace["traceEvents"].as_array().unwrap().clone();
+        assert!(!events.is_empty(), "trace captured no events");
+        for ev in &events {
+            assert!(ev["name"].as_str().is_some());
+            assert!(ev["ph"].as_str().is_some());
+            assert!(ev["ts"].as_f64().is_some());
+        }
+        // Sampled stage spans from the pipeline's own stages, on either
+        // drive.
+        assert!(
+            events.iter().any(|e| {
+                e["ph"].as_str() == Some("X")
+                    && e["cat"].as_str() == Some("stage")
+                    && e["name"].as_str().is_some_and(|n| n.starts_with("stage/"))
+            }),
+            "no stage span in the {config} trace"
+        );
+        events
+    };
+    trace_of("scenario.json", "trace.json");
+    // Blocked-time attribution on the channel edges (the first receive
+    // of every stage worker is always sampled).
+    let events = trace_of("channel.json", "channel_trace.json");
     assert!(
         events
             .iter()
